@@ -22,6 +22,7 @@ from .matrices import (
     apply,
     apply_transform,
     averaging_step_count,
+    compose,
     d_stochastic_witness,
     hlp_witness,
     is_d_stochastic,

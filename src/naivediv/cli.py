@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +68,20 @@ def _seed_arg(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("seed must be nonnegative")
+    return value
+
+
+def _cost_rate_arg(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("cost rate must be finite and nonnegative")
+    return value
+
+
+def _step_arg(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError("step must be finite and positive")
     return value
 
 
@@ -147,7 +162,7 @@ def _build_parser() -> _CliParser:
     )
     p.add_argument(
         "--cost-rate",
-        type=float,
+        type=_cost_rate_arg,
         default=0.0,
         help="proportional cost per unit of traded mass (default: 0)",
     )
@@ -192,7 +207,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("weights")
     p.add_argument("--measure", required=True, metavar="ID")
     p.add_argument(
-        "--step", type=float, default=1e-5, help="finite-difference step"
+        "--step", type=_step_arg, default=1e-5, help="finite-difference step"
     )
     p.set_defaults(func=_cmd_schur_check)
 

@@ -8,16 +8,16 @@ direction is a chain of two-coordinate averaging transforms
     T = lam * I + (1 - lam) * Pi_jk,   lam in [0, 1],
 
 where ``Pi_jk`` swaps coordinates j and k.  ``muirhead_decompose`` builds
-such a chain explicitly and ``hlp_witness`` multiplies it out.
+such a chain explicitly, ``compose`` multiplies a chain out, and
+``hlp_witness`` does both.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import lp
 from .errors import (
@@ -224,6 +224,29 @@ def t_to_matrix(t: TTransform, n: int) -> DoublyStochasticMatrix:
     return DoublyStochasticMatrix(tuple(tuple(row) for row in rows))
 
 
+def compose(steps: Iterable[TTransform], n: int) -> DoublyStochasticMatrix:
+    """The order-n matrix of a transform chain, I @ T_1 @ ... @ T_m, exact.
+
+    Right-multiplying by one transform mixes only columns j and k, so each
+    step costs O(n) rather than a dense O(n^3) product.  Rows where the two
+    columns already agree (all-zero pairs above all) are left as they are,
+    because averaging two equal entries changes neither.
+    """
+    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    for t in steps:
+        if t.j >= n or t.k >= n:
+            raise IndexOutOfRange(
+                f"transform touches coordinate {max(t.j, t.k)} of an order-{n} matrix"
+            )
+        lam, rest = t.lam, 1 - t.lam
+        cj, ck = cols[t.j], cols[t.k]
+        for i, (a, b) in enumerate(zip(cj, ck)):
+            if a != b:
+                cj[i] = lam * a + rest * b
+                ck[i] = lam * b + rest * a
+    return DoublyStochasticMatrix(tuple(zip(*cols)))
+
+
 def apply_transform(w: WeightVector, t: TTransform) -> WeightVector:
     """Apply a single transform without building the full matrix."""
     if t.j >= w.n or t.k >= w.n:
@@ -304,12 +327,7 @@ def hlp_witness(
     beta: WeightVector, alpha: WeightVector
 ) -> DoublyStochasticMatrix:
     """A doubly stochastic P with beta @ P == alpha, built from the chain."""
-    steps = muirhead_decompose(beta, alpha)
-    n = beta.n
-    product = SquareMatrix.identity(n)
-    for t in steps:
-        product = product @ t_to_matrix(t, n)
-    return DoublyStochasticMatrix(product.rows)
+    return compose(muirhead_decompose(beta, alpha), beta.n)
 
 
 def multivariate_feasible(
@@ -479,12 +497,6 @@ def random_strict_majorization_pair(
     return alpha, beta
 
 
-def permutation_matrices(n: int):
-    """Yield all order-n permutation matrices (n <= 8 keeps this tractable)."""
-    for perm in itertools.permutations(range(n)):
-        yield SquareMatrix.from_permutation(perm)
-
-
 __all__ = [
     "SquareMatrix",
     "DoublyStochasticMatrix",
@@ -495,6 +507,7 @@ __all__ = [
     "is_d_stochastic",
     "apply",
     "t_to_matrix",
+    "compose",
     "apply_transform",
     "muirhead_decompose",
     "averaging_step_count",
@@ -504,5 +517,4 @@ __all__ = [
     "random_doubly_stochastic",
     "random_majorization_pair",
     "random_strict_majorization_pair",
-    "permutation_matrices",
 ]

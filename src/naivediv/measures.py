@@ -29,6 +29,7 @@ from .matrices import random_majorization_pair, random_strict_majorization_pair
 from .simplex import (
     WeightVector,
     as_fraction,
+    half_l1,
     majorizes,
     random_weight_vector,
     uniform_vector,
@@ -143,8 +144,7 @@ def _hoover_ambient(xs: Sequence[float]) -> float:
 
 
 def _hoover_exact(ws: Sequence[Fraction]) -> Fraction:
-    share = Fraction(1, len(ws))
-    return sum((abs(w - share) for w in ws), start=Fraction(0)) / 2
+    return half_l1(ws, (Fraction(1, len(ws)),) * len(ws))
 
 
 def _atkinson_ambient(eps: Fraction) -> AmbientFn:

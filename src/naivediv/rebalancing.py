@@ -12,7 +12,6 @@ cheapest honest executor.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -25,14 +24,18 @@ from .matrices import (
     TTransform,
     apply_transform,
     averaging_step_count,
+    compose,
     is_doubly_stochastic,
     muirhead_decompose,
-    t_to_matrix,
     uniform_mixing_matrix,
 )
-from .simplex import RationalLike, WeightVector, as_fraction, uniform_vector
-
-_EXACT_ASSIGNMENT_LIMIT = 5
+from .simplex import (
+    RationalLike,
+    WeightVector,
+    as_fraction,
+    half_l1,
+    uniform_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -56,15 +59,7 @@ def turnover_vector(w: WeightVector) -> TurnoverVector:
 
 def turnover(w: WeightVector) -> Fraction:
     """Half the l1 distance from equal weights; the mass that must move."""
-    share = Fraction(1, w.n)
-    return sum((abs(x - share) for x in w.weights), start=Fraction(0)) / 2
-
-
-def _half_l1(w: WeightVector, target: WeightVector) -> Fraction:
-    return (
-        sum((abs(a - b) for a, b in zip(w.weights, target.weights)), start=Fraction(0))
-        / 2
-    )
+    return half_l1(w.weights, (Fraction(1, w.n),) * w.n)
 
 
 def polytope_membership(p: SquareMatrix, w: WeightVector) -> bool:
@@ -109,31 +104,70 @@ def frobenius_distance_squared(a: SquareMatrix, b: SquareMatrix) -> Fraction:
     )
 
 
+def _max_assignment(a: list[list[int]]) -> int:
+    """The largest sum of ``a[i][perm[i]]`` over all permutations, exact.
+
+    Kuhn's Hungarian method in its O(n^3) form with row potentials ``u`` and
+    column potentials ``v``, minimizing the negated weights on Python ints.
+    Rows are placed one per phase by a shortest augmenting path; index 0 is
+    a virtual column that holds the row being placed, so the real rows and
+    columns are 1..n.
+    """
+    n = len(a)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: the row matched to column j, 0 if none
+    way = [0] * (n + 1)  # way[j]: the previous column on the path to j
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [None] * (n + 1)  # least reduced cost into each column so far
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = a[i0 - 1], u[i0]
+            delta = None
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                reduced = -row[j - 1] - ui - v[j]
+                if minv[j] is None or reduced < minv[j]:
+                    minv[j] = reduced
+                    way[j] = j0
+                if delta is None or minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return sum(a[owner[j] - 1][j - 1] for j in range(1, n + 1))
+
+
 def min_permutation_distance_squared(p: SquareMatrix) -> Fraction:
     """Exact squared Frobenius distance from ``p`` to the nearest permutation.
 
     Minimizing ||p - Pi||^2 is the same as maximizing the trace of p against
-    the permutation, an assignment problem.  Up to order 5 all permutations
-    are enumerated exactly; beyond that a float assignment solver picks the
-    permutation and the distance is then evaluated exactly (ties broken in
-    float can shift the result by at most one ulp).
+    the permutation, an assignment problem.  The entries are scaled to
+    integers by the lcm of their denominators and the assignment is solved
+    by the Hungarian method on those integers, so the result is exact at
+    every order, near-ties included.
     """
     n = p.order
-    norm_sq = sum(
-        (e * e for row in p.rows for e in row), start=Fraction(0)
-    )
-    if n <= _EXACT_ASSIGNMENT_LIMIT:
-        best = max(
-            sum(p.rows[i][perm[i]] for i in range(n))
-            for perm in itertools.permutations(range(n))
-        )
-    else:
-        from scipy.optimize import linear_sum_assignment
-
-        cost = [[-float(e) for e in row] for row in p.rows]
-        rows, cols = linear_sum_assignment(cost)
-        best = sum(p.rows[i][j] for i, j in zip(rows, cols))
-    return norm_sq + n - 2 * best
+    scale = math.lcm(*(e.denominator for row in p.rows for e in row))
+    a = [[e.numerator * (scale // e.denominator) for e in row] for row in p.rows]
+    norm_sq = sum(x * x for row in a for x in row)
+    best = _max_assignment(a)
+    return Fraction(norm_sq - 2 * best * scale + n * scale * scale, scale * scale)
 
 
 def practical_turnover(w: WeightVector, p: SquareMatrix) -> float:
@@ -151,6 +185,11 @@ def _default_labels(w: WeightVector) -> tuple[str, ...]:
     if w.labels is not None:
         return w.labels
     return tuple(f"w{i}" for i in range(1, w.n + 1))
+
+
+def _check_cost_field(name: str, value: float) -> None:
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +224,7 @@ class RebalancePlan:
                 raise ValueError("intermediate does not match its step")
         if current.weights != self.target.weights:
             raise ValueError("steps do not reproduce the target")
-        if self.turnover != _half_l1(self.source, self.target):
+        if self.turnover != half_l1(self.source.weights, self.target.weights):
             raise ValueError("turnover does not match source and target")
         deltas = tuple(delta for _, delta in self.trades)
         expected = tuple(
@@ -193,6 +232,10 @@ class RebalancePlan:
         )
         if deltas != expected:
             raise ValueError("trades must equal target minus source")
+        if tuple(label for label, _ in self.trades) != _default_labels(self.source):
+            raise ValueError("trade labels must be the source's slot labels")
+        _check_cost_field("cost_rate", self.cost_rate)
+        _check_cost_field("cost", self.cost)
 
     @property
     def averaging_steps(self) -> int:
@@ -201,11 +244,7 @@ class RebalancePlan:
 
     def composed_matrix(self) -> DoublyStochasticMatrix:
         """The single doubly stochastic matrix equal to the whole chain."""
-        n = self.source.n
-        product = SquareMatrix.identity(n)
-        for t in self.steps:
-            product = product @ t_to_matrix(t, n)
-        return DoublyStochasticMatrix(product.rows)
+        return compose(self.steps, self.source.n)
 
 
 def rebalance_to(
@@ -214,8 +253,10 @@ def rebalance_to(
     """Minimal-step plan carrying ``w`` exactly onto a flatter ``target``.
 
     The source must majorize the target.  Cost is proportional to total
-    traded mass (buys plus sells), i.e. cost_rate times twice the turnover.
+    traded mass (buys plus sells), i.e. cost_rate times twice the turnover;
+    a negative or non-finite rate raises ValueError.
     """
+    _check_cost_field("cost_rate", cost_rate)
     steps = tuple(muirhead_decompose(w, target))
     intermediates = []
     current = w
@@ -223,7 +264,7 @@ def rebalance_to(
         current = apply_transform(current, t)
         intermediates.append(current)
 
-    tau = _half_l1(w, target)
+    tau = half_l1(w.weights, target.weights)
     labels = _default_labels(w)
     trades = tuple(
         (label, t_i - w_i)
@@ -233,10 +274,7 @@ def rebalance_to(
 
     practical: float | None = None
     if target.weights == uniform_vector(w.n).weights:
-        n = w.n
-        product = SquareMatrix.identity(n)
-        for t in steps:
-            product = product @ t_to_matrix(t, n)
+        product = compose(steps, w.n)
         scale = math.sqrt(float(min_permutation_distance_squared(product)))
         practical = float(tau) * scale
 

@@ -164,6 +164,16 @@ def compare(alpha: WeightVector, beta: WeightVector) -> MajorizationRelation:
     return MajorizationRelation.INCOMPARABLE
 
 
+def half_l1(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
+    """Half the l1 distance between two weight sequences, exact.
+
+    Between two allocations this is the mass that has to move to turn one
+    into the other; measured from equal weights it is both the turnover and
+    the Hoover index.
+    """
+    return sum((abs(x - y) for x, y in zip(xs, ys)), start=Fraction(0)) / 2
+
+
 @dataclass(frozen=True)
 class LorenzCurve:
     """Piecewise-linear cumulative-share curve of an allocation.

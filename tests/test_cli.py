@@ -176,6 +176,33 @@ class TestRebalance:
         assert code == 2
         assert "does not majorize" in err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_bad_cost_rate_exits_1(self, skewed_file, rate, capsys):
+        code, out, err = run_cli(
+            ["rebalance", skewed_file, "--cost-rate", rate], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "cost rate" in err
+
+    def test_scipy_is_not_imported(self, tmp_path):
+        path = tmp_path / "eight.json"
+        path.write_text(
+            json.dumps({"weights": ["1/3", "1/4", "1/8", "1/12", "1/12", "1/24", "1/24", "1/24"]})
+        )
+        script = (
+            "import sys\n"
+            "from naivediv.cli import main\n"
+            f"code = main(['rebalance', {str(path)!r}])\n"
+            "print('scipy' in sys.modules, code, file=sys.stderr)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["practical_turnover"] is not None
+        assert done.stderr.split() == ["False", "0"]
+
     def test_out_file(self, reference_file, tmp_path, capsys):
         out_path = tmp_path / "plan.json"
         code, out, _ = run_cli(
@@ -259,6 +286,16 @@ class TestSchurCheck:
         rows = dict(line.split(None, 1) for line in out.splitlines())
         assert rows["passed"].strip() == "true"
         assert rows["symmetric"].strip() == "true"
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0"])
+    def test_bad_step_exits_1(self, reference_file, step, capsys):
+        code, out, err = run_cli(
+            ["schur-check", reference_file, "--measure", "entropy", "--step", step],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "step" in err
 
     def test_point_too_close_to_boundary(self, reference_file, capsys):
         code, _, err = run_cli(

@@ -188,6 +188,33 @@ class TestPlanFiles:
         with pytest.raises(ValueError):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("label", "zzz"),
+            ("cost_rate", -5),
+            ("cost_rate", "nan"),
+            ("cost", -1),
+            ("cost", "inf"),
+        ],
+    )
+    def test_tampered_label_and_cost_fields_rejected(self, field, value):
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE, cost_rate=0.01))
+        if field == "label":
+            data["trades"][0]["label"] = value
+        else:
+            data[field] = value
+        with pytest.raises(ValueError):
+            plan_from_dict(data)
+
+    def test_source_labels_name_the_trades(self):
+        source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
+        data = plan_to_dict(minimal_turnover_plan(source))
+        assert [t["label"] for t in data["trades"]] == ["bonds", "stocks", "cash"]
+        data["trades"][0]["label"] = "w1"
+        with pytest.raises(ValueError):
+            plan_from_dict(data)
+
 
 class TestWriteText:
     def test_to_stdout(self, capsys):

@@ -21,6 +21,7 @@ from naivediv.matrices import (
     apply,
     apply_transform,
     averaging_step_count,
+    compose,
     d_stochastic_witness,
     hlp_witness,
     is_d_stochastic,
@@ -167,6 +168,39 @@ class TestTTransform:
         lam = F(data.draw(st.integers(0, 12)), 12)
         t = TTransform(j, k, lam)
         assert apply_transform(w, t).weights == apply(w, t_to_matrix(t, w.n)).weights
+
+
+@st.composite
+def transform_chains(draw, max_n: int = 6, max_steps: int = 10):
+    n = draw(st.integers(1, max_n))
+    steps = []
+    if n >= 2:
+        for _ in range(draw(st.integers(0, max_steps))):
+            j = draw(st.integers(0, n - 1))
+            k = draw(st.integers(0, n - 1).filter(lambda x, j=j: x != j))
+            lam = F(draw(st.integers(0, 12)), 12)
+            steps.append(TTransform(j, k, lam))
+    return steps, n
+
+
+class TestCompose:
+    @given(transform_chains())
+    def test_equals_dense_product(self, chain):
+        # oracle: the identity multiplied by each step's full matrix in turn
+        steps, n = chain
+        dense = SquareMatrix.identity(n)
+        for t in steps:
+            dense = dense @ t_to_matrix(t, n)
+        composed = compose(steps, n)
+        assert isinstance(composed, DoublyStochasticMatrix)
+        assert composed.rows == dense.rows
+
+    def test_empty_chain_is_identity(self):
+        assert compose([], 4).rows == SquareMatrix.identity(4).rows
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            compose([TTransform(0, 3, F(1, 2))], 3)
 
 
 class TestMuirheadDecompose:

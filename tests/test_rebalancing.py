@@ -1,5 +1,6 @@
 """Turnover accounting, the mixing polytope, and rebalance plans."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -160,6 +161,46 @@ class TestPermutationDistance:
         solved = min_permutation_distance_squared(p)
         assert solved <= exact_best + 1e-9
 
+    def test_matches_enumeration_up_to_order_7(self):
+        rng = random.Random(7)
+        cases = [
+            random_doubly_stochastic(rng.randrange(10**6), n, rng.randint(1, 4))
+            for n in range(1, 8)
+            for _ in range(3 if n < 7 else 1)
+        ]
+        # tied entries: full mixing plus a sparse member with repeated values
+        cases += [uniform_mixing_matrix(6), example_family(F(1, 2), F(0))]
+        for p in cases:
+            assert min_permutation_distance_squared(p) == _enumerated_distance(p)
+
+    def test_near_tie_is_decided_exactly(self):
+        # (1/2 - eps) I + (1/2 + eps) C for the 6-cycle C: both permutations
+        # round to the same float trace, but only C is nearest
+        eps = F(1, 10**25)
+        n = 6
+        shift = [(i + 1) % n for i in range(n)]
+        p = SquareMatrix(
+            tuple(
+                tuple(
+                    (F(1, 2) - eps if j == i else 0) + (F(1, 2) + eps if j == shift[i] else 0)
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+        )
+        nearest = SquareMatrix.from_permutation(shift)
+        assert min_permutation_distance_squared(p) == frobenius_distance_squared(p, nearest)
+        assert min_permutation_distance_squared(p) == _enumerated_distance(p)
+
+
+def _enumerated_distance(p):
+    # oracle: try every permutation
+    n = p.order
+    return min(
+        frobenius_distance_squared(p, SquareMatrix.from_permutation(perm))
+        for perm in itertools.permutations(range(n))
+    )
+
 
 def _permutations_9_sample(p):
     # checking all 9! permutations is too slow; compare against the greedy
@@ -263,6 +304,11 @@ class TestRebalancePlans:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             rebalance_to(REFERENCE, uniform_vector(4))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0, F(-1, 100)])
+    def test_bad_cost_rate_rejected(self, rate):
+        with pytest.raises(ValueError):
+            rebalance_to(REFERENCE, uniform_vector(3), cost_rate=rate)
 
     def test_replay_validation_rejects_tampering(self):
         plan = minimal_turnover_plan(REFERENCE)
