@@ -64,10 +64,10 @@ def _precision_arg(text: str) -> int:
     return value
 
 
-def _seed_arg(text: str) -> int:
+def _nonnegative_int_arg(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("seed must be nonnegative")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
@@ -101,7 +101,7 @@ def _build_parser() -> _CliParser:
     )
     common.add_argument(
         "--seed",
-        type=_seed_arg,
+        type=_nonnegative_int_arg,
         default=argparse.SUPPRESS,
         help="seed for randomized checks (default: 42)",
     )
@@ -174,7 +174,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("weights")
     p.add_argument(
         "--points",
-        type=int,
+        type=_nonnegative_int_arg,
         default=0,
         metavar="N",
         help="also sample the curve at i/N for i = 0..N",

@@ -45,12 +45,28 @@ def weights_to_dict(w: WeightVector) -> dict:
     return out
 
 
-def weights_from_dict(data: dict) -> WeightVector:
+def _json_array(value: object, what: str, where: str | Path) -> list:
+    """``value``, which must be a JSON array; ``what`` names it in the error."""
+    if not isinstance(value, list):
+        raise ValueError(
+            f"{where}: {what} must be a JSON array, got {type(value).__name__}"
+        )
+    return value
+
+
+def _weights_from_dict(data: object, where: str | Path) -> WeightVector:
     if not isinstance(data, dict) or "weights" not in data:
-        raise ValueError("weight file needs a 'weights' field")
-    weights = tuple(parse_rational(x) for x in data["weights"])
+        raise ValueError(f"{where}: needs a JSON object with a 'weights' field")
+    values = _json_array(data["weights"], "'weights'", where)
+    weights = tuple(parse_rational(x) for x in values)
     labels = data.get("labels")
-    return WeightVector(weights, tuple(labels) if labels is not None else None)
+    if labels is not None:
+        labels = tuple(_json_array(labels, "'labels'", where))
+    return WeightVector(weights, labels)
+
+
+def weights_from_dict(data: dict) -> WeightVector:
+    return _weights_from_dict(data, "weight data")
 
 
 def _load_weights_csv(text: str) -> WeightVector:
@@ -71,10 +87,9 @@ def _load_weights_csv(text: str) -> WeightVector:
 def load_weights(path: str | Path) -> WeightVector:
     """Read a weight allocation from a JSON (default) or .csv file."""
     p = Path(path)
-    text = p.read_text()
     if p.suffix.lower() == ".csv":
-        return _load_weights_csv(text)
-    return weights_from_dict(json.loads(text))
+        return _load_weights_csv(p.read_text())
+    return _weights_from_dict(json.loads(p.read_text()), p)
 
 
 def matrix_to_dict(m: SquareMatrix) -> dict:
@@ -84,14 +99,21 @@ def matrix_to_dict(m: SquareMatrix) -> dict:
     }
 
 
+def _entries(path: Path) -> tuple[dict, list[list]]:
+    """A matrix or allocation file's JSON object and its 'entries' grid."""
+    data = json.loads(path.read_text())
+    if not isinstance(data, dict) or "entries" not in data:
+        raise ValueError(f"{path}: needs a JSON object with an 'entries' field")
+    rows = _json_array(data["entries"], "'entries'", path)
+    return data, [
+        _json_array(row, f"row {i} of 'entries'", path) for i, row in enumerate(rows, 1)
+    ]
+
+
 def load_square_matrix(path: str | Path) -> SquareMatrix:
     """Read a square rational matrix from its JSON file form."""
-    data = json.loads(Path(path).read_text())
-    if "entries" not in data:
-        raise ValueError("matrix file needs an 'entries' field")
-    rows = tuple(
-        tuple(parse_rational(e) for e in row) for row in data["entries"]
-    )
+    data, grid = _entries(Path(path))
+    rows = tuple(tuple(parse_rational(e) for e in row) for row in grid)
     matrix = SquareMatrix(rows)
     declared = data.get("order")
     if declared is not None and declared != matrix.order:
@@ -103,14 +125,10 @@ def load_square_matrix(path: str | Path) -> SquareMatrix:
 
 def load_allocation_rows(path: str | Path) -> list[WeightVector]:
     """Read a d x n stack of allocations (each row sums to 1) from JSON."""
-    data = json.loads(Path(path).read_text())
-    if "entries" not in data:
-        raise ValueError("allocation file needs an 'entries' field")
-    rows = []
-    for row in data["entries"]:
-        rows.append(WeightVector(tuple(parse_rational(e) for e in row)))
+    _, grid = _entries(Path(path))
+    rows = [WeightVector(tuple(parse_rational(e) for e in row)) for row in grid]
     if not rows:
-        raise ValueError("allocation file has no rows")
+        raise ValueError(f"{path}: allocation file has no rows")
     return rows
 
 

@@ -5,8 +5,9 @@ A small phase-one simplex: minimize the sum of artificial variables for
 rule (lowest eligible index enters, ties on the ratio test broken by the
 lowest basis index) guarantees termination without any tolerance games.
 
-The systems solved here are tiny (tens of variables), so a dense tableau
-is the simplest thing that can possibly work.
+The callers ask about order-n mixing matrices: n^2 structural variables
+plus one artificial per equation, a few hundred tableau columns at the
+orders in use, where a dense tableau is the simplest thing that works.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ def solve_equality_feasibility(
         raise ValueError("ragged constraint system")
 
     # Tableau columns: structural vars, artificial vars, rhs.
-    width = nvars + m + 1
     tableau: list[list[Fraction]] = []
     for i in range(m):
         flip = -ONE if rhs[i] < 0 else ONE
@@ -41,19 +41,16 @@ def solve_equality_feasibility(
         row.extend(ONE if j == i else ZERO for j in range(m))
         row.append(flip * rhs[i])
         tableau.append(row)
+    # The last row holds the reduced costs of the phase-one objective (the
+    # sum of the artificials) and, in its rhs cell, minus the objective
+    # value; pivots keep it current like any other row.
+    objective = [-sum(col) for col in zip(*tableau)]
+    objective[nvars : nvars + m] = [ZERO] * m
+    tableau.append(objective)
     basis = [nvars + i for i in range(m)]
-    cost = [ZERO] * nvars + [ONE] * m
 
     while True:
-        # Reduced costs under the current basis for the phase-one objective.
-        entering = -1
-        for j in range(nvars + m):
-            reduced = cost[j] - sum(
-                cost[basis[i]] * tableau[i][j] for i in range(m)
-            )
-            if reduced < 0:
-                entering = j
-                break
+        entering = next((j for j in range(nvars + m) if objective[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
@@ -76,8 +73,7 @@ def solve_equality_feasibility(
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
 
-    objective = sum(cost[basis[i]] * tableau[i][-1] for i in range(m))
-    if objective != 0:
+    if objective[-1] != 0:
         return None
     solution = [ZERO] * nvars
     for i in range(m):
@@ -87,13 +83,12 @@ def solve_equality_feasibility(
 
 
 def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    pivot_row = tableau[row]
-    inv = ONE / pivot_row[col]
-    tableau[row] = [c * inv for c in pivot_row]
-    pivot_row = tableau[row]
+    inv = ONE / tableau[row][col]
+    pivot_row = [c * inv for c in tableau[row]]
+    tableau[row] = pivot_row
+    support = [j for j, p in enumerate(pivot_row) if p]
     for i, other in enumerate(tableau):
-        if i == row:
-            continue
         factor = other[col]
-        if factor != 0:
-            tableau[i] = [c - factor * p for c, p in zip(other, pivot_row)]
+        if i != row and factor:
+            for j in support:
+                other[j] -= factor * pivot_row[j]

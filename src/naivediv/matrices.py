@@ -14,6 +14,8 @@ such a chain explicitly, ``compose`` multiplies a chain out, and
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,18 +152,45 @@ class TTransform:
         object.__setattr__(self, "lam", lam)
 
 
+def _integer_view(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(scale, a)`` with ``a`` integer and ``rows == a / scale`` entrywise.
+
+    ``scale`` is the lcm of the denominators, so exact sums and comparisons
+    of the entries become Python int arithmetic.
+    """
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    a = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
+    return scale, a
+
+
+def _carries(
+    m: SquareMatrix, pairs: Iterable[tuple[Sequence[Fraction], Sequence[Fraction]]]
+) -> bool:
+    """Exact check: m >= 0, every row sums to 1, and u @ m == v for each pair.
+
+    Every membership question about mixing matrices has this form: doubly
+    stochastic is the pair (1, 1), fixing d is the pair (d, d).  The sums
+    run on integer views, so no Fraction is built per entry.
+    """
+    scale, a = _integer_view(m.rows)
+    if any(e < 0 for row in a for e in row) or any(sum(row) != scale for row in a):
+        return False
+    cols = list(zip(*a))
+    for u, v in pairs:
+        u_scale, (us,) = _integer_view((u,))
+        v_scale, (vs,) = _integer_view((v,))
+        # u @ m == v  <=>  (us @ a) * v_scale == vs * u_scale * scale
+        unit = u_scale * scale
+        for col, x in zip(cols, vs):
+            if sum(map(operator.mul, us, col)) * v_scale != x * unit:
+                return False
+    return True
+
+
 def is_doubly_stochastic(m: SquareMatrix) -> bool:
     """Exact check: entries >= 0, every row and column sums to 1."""
-    n = m.order
-    for row in m.rows:
-        if any(e < 0 for e in row):
-            return False
-        if sum(row) != 1:
-            return False
-    for j in range(n):
-        if sum(m.rows[i][j] for i in range(n)) != 1:
-            return False
-    return True
+    ones = (1,) * m.order
+    return _carries(m, [(ones, ones)])
 
 
 def is_permutation(m: SquareMatrix) -> bool:
@@ -177,18 +206,9 @@ def is_d_stochastic(m: SquareMatrix, d: WeightVector) -> bool:
     Zero entries in ``d`` are allowed.  With d uniform this coincides with
     double stochasticity.
     """
-    n = m.order
-    if d.n != n:
-        raise DimensionMismatch(f"matrix order {n} vs vector length {d.n}")
-    for row in m.rows:
-        if any(e < 0 for e in row):
-            return False
-        if sum(row) != 1:
-            return False
-    for j in range(n):
-        if sum(d.weights[i] * m.rows[i][j] for i in range(n)) != d.weights[j]:
-            return False
-    return True
+    if d.n != m.order:
+        raise DimensionMismatch(f"matrix order {m.order} vs vector length {d.n}")
+    return _carries(m, [(d.weights, d.weights)])
 
 
 def apply(w: WeightVector, m: SquareMatrix) -> WeightVector:
@@ -330,6 +350,34 @@ def hlp_witness(
     return compose(muirhead_decompose(beta, alpha), beta.n)
 
 
+def _mixing_witness(
+    pairs: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]], n: int
+) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Rows of an order-n P >= 0 whose rows sum to 1 with u @ P == v for
+    every pair, found by the exact LP; None when no such P exists.
+
+    The unknowns are P's entries in row-major order.  The equations are the
+    n row sums, then one equation per column for each pair in turn.
+    """
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for r in range(n):
+        coeffs = [ZERO] * (n * n)
+        coeffs[r * n : (r + 1) * n] = [ONE] * n
+        rows.append(coeffs)
+        rhs.append(ONE)
+    for u, v in pairs:
+        for c in range(n):
+            coeffs = [ZERO] * (n * n)
+            coeffs[c :: n] = u
+            rows.append(coeffs)
+            rhs.append(v[c])
+    solution = lp.solve_equality_feasibility(rows, rhs)
+    if solution is None:
+        return None
+    return tuple(tuple(solution[r * n : (r + 1) * n]) for r in range(n))
+
+
 def multivariate_feasible(
     x_rows: Sequence[WeightVector], y_rows: Sequence[WeightVector]
 ) -> DoublyStochasticMatrix | None:
@@ -345,39 +393,10 @@ def multivariate_feasible(
     n = x_rows[0].n
     if any(r.n != n for r in x_rows) or any(r.n != n for r in y_rows):
         raise DimensionMismatch("all rows must share one length")
-
-    def var(r: int, c: int) -> int:
-        return r * n + c
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for r in range(n):  # row sums of P
-        coeffs = [ZERO] * (n * n)
-        for c in range(n):
-            coeffs[var(r, c)] = ONE
-        rows.append(coeffs)
-        rhs.append(ONE)
-    for c in range(n):  # column sums of P
-        coeffs = [ZERO] * (n * n)
-        for r in range(n):
-            coeffs[var(r, c)] = ONE
-        rows.append(coeffs)
-        rhs.append(ONE)
-    for a in range(d):  # data constraints Y[a] @ P == X[a]
-        for c in range(n):
-            coeffs = [ZERO] * (n * n)
-            for r in range(n):
-                coeffs[var(r, c)] = y_rows[a].weights[r]
-            rows.append(coeffs)
-            rhs.append(x_rows[a].weights[c])
-
-    solution = lp.solve_equality_feasibility(rows, rhs)
-    if solution is None:
-        return None
-    entries = tuple(
-        tuple(solution[var(r, c)] for c in range(n)) for r in range(n)
-    )
-    return DoublyStochasticMatrix(entries)
+    ones = (ONE,) * n
+    pairs = [(ones, ones)] + [(y.weights, x.weights) for x, y in zip(x_rows, y_rows)]
+    entries = _mixing_witness(pairs, n)
+    return None if entries is None else DoublyStochasticMatrix(entries)
 
 
 def d_stochastic_witness(
@@ -390,39 +409,9 @@ def d_stochastic_witness(
     """
     if beta.n != alpha.n or beta.n != d.n:
         raise LengthMismatch("all three vectors must share one length")
-    n = beta.n
-
-    def var(r: int, c: int) -> int:
-        return r * n + c
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for r in range(n):  # row sums of A
-        coeffs = [ZERO] * (n * n)
-        for c in range(n):
-            coeffs[var(r, c)] = ONE
-        rows.append(coeffs)
-        rhs.append(ONE)
-    for c in range(n):  # d is a fixed point
-        coeffs = [ZERO] * (n * n)
-        for r in range(n):
-            coeffs[var(r, c)] = d.weights[r]
-        rows.append(coeffs)
-        rhs.append(d.weights[c])
-    for c in range(n):  # beta is carried onto alpha
-        coeffs = [ZERO] * (n * n)
-        for r in range(n):
-            coeffs[var(r, c)] = beta.weights[r]
-        rows.append(coeffs)
-        rhs.append(alpha.weights[c])
-
-    solution = lp.solve_equality_feasibility(rows, rhs)
-    if solution is None:
-        return None
-    entries = tuple(
-        tuple(solution[var(r, c)] for c in range(n)) for r in range(n)
-    )
-    return SquareMatrix(entries)
+    pairs = [(d.weights, d.weights), (beta.weights, alpha.weights)]
+    entries = _mixing_witness(pairs, beta.n)
+    return None if entries is None else SquareMatrix(entries)
 
 
 def random_doubly_stochastic(

@@ -22,10 +22,11 @@ from .matrices import (
     DoublyStochasticMatrix,
     SquareMatrix,
     TTransform,
+    _carries,
+    _integer_view,
     apply_transform,
     averaging_step_count,
     compose,
-    is_doubly_stochastic,
     muirhead_decompose,
     uniform_mixing_matrix,
 )
@@ -66,14 +67,8 @@ def polytope_membership(p: SquareMatrix, w: WeightVector) -> bool:
     """True iff ``p`` is doubly stochastic and carries ``w`` exactly to 1/n."""
     if p.order != w.n:
         raise DimensionMismatch(f"matrix order {p.order} vs vector length {w.n}")
-    if not is_doubly_stochastic(p):
-        return False
-    n = w.n
-    share = Fraction(1, n)
-    return all(
-        sum(w.weights[i] * p.rows[i][j] for i in range(n)) == share
-        for j in range(n)
-    )
+    ones = (1,) * w.n
+    return _carries(p, [(ones, ones), (w.weights, (Fraction(1, w.n),) * w.n)])
 
 
 def example_family(u: RationalLike, v: RationalLike) -> DoublyStochasticMatrix | None:
@@ -163,8 +158,7 @@ def min_permutation_distance_squared(p: SquareMatrix) -> Fraction:
     every order, near-ties included.
     """
     n = p.order
-    scale = math.lcm(*(e.denominator for row in p.rows for e in row))
-    a = [[e.numerator * (scale // e.denominator) for e in row] for row in p.rows]
+    scale, a = _integer_view(p.rows)
     norm_sq = sum(x * x for row in a for x in row)
     best = _max_assignment(a)
     return Fraction(norm_sq - 2 * best * scale + n * scale * scale, scale * scale)

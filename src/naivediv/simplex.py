@@ -132,17 +132,10 @@ def _check_same_length(a: WeightVector, b: WeightVector) -> None:
 
 def majorizes(beta: WeightVector, alpha: WeightVector) -> bool:
     """True iff ``beta`` majorizes ``alpha`` (exact partial-sum dominance)."""
-    _check_same_length(beta, alpha)
-    bs = beta.sorted_descending()
-    as_ = alpha.sorted_descending()
-    partial_b = Fraction(0)
-    partial_a = Fraction(0)
-    for k in range(beta.n - 1):
-        partial_b += bs[k]
-        partial_a += as_[k]
-        if partial_b < partial_a:
-            return False
-    return True
+    return compare(alpha, beta) in (
+        MajorizationRelation.FIRST_MORE_EQUAL,
+        MajorizationRelation.EQUAL_UP_TO_PERMUTATION,
+    )
 
 
 def compare(alpha: WeightVector, beta: WeightVector) -> MajorizationRelation:
@@ -153,15 +146,24 @@ def compare(alpha: WeightVector, beta: WeightVector) -> MajorizationRelation:
     one another.
     """
     _check_same_length(alpha, beta)
-    if alpha.sorted_descending() == beta.sorted_descending():
-        return MajorizationRelation.EQUAL_UP_TO_PERMUTATION
-    beta_dominates = majorizes(beta, alpha)
-    alpha_dominates = majorizes(alpha, beta)
-    if beta_dominates and not alpha_dominates:
+    # One walk over the gap between the descending partial sums: a positive
+    # gap at some k means beta does not majorize alpha, a negative one that
+    # alpha does not majorize beta.  Neither means the sorted vectors agree.
+    gap = Fraction(0)
+    alpha_above = beta_above = False
+    for a, b in zip(alpha.sorted_descending(), beta.sorted_descending()):
+        gap += a - b
+        if gap > 0:
+            alpha_above = True
+        elif gap < 0:
+            beta_above = True
+        if alpha_above and beta_above:
+            return MajorizationRelation.INCOMPARABLE
+    if beta_above:
         return MajorizationRelation.FIRST_MORE_EQUAL
-    if alpha_dominates and not beta_dominates:
+    if alpha_above:
         return MajorizationRelation.SECOND_MORE_EQUAL
-    return MajorizationRelation.INCOMPARABLE
+    return MajorizationRelation.EQUAL_UP_TO_PERMUTATION
 
 
 def half_l1(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:

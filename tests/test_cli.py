@@ -349,6 +349,52 @@ class TestMultiCheck:
         assert "feasible  false" in out
 
 
+class TestMalformedFiles:
+    """A field of the wrong JSON type exits 1 naming the file and the field;
+    it is never read as some other allocation or left as a traceback."""
+
+    @pytest.mark.parametrize("command", ["measures", "compare"])
+    def test_string_weights(self, tmp_path, command, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": "10"}))  # not the allocation (1, 0)
+        argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert str(path) in err and "'weights' must be a JSON array" in err
+
+    @pytest.mark.parametrize("labels", ["ab", 5])
+    def test_labels_not_an_array(self, tmp_path, labels, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": ["1/2", "1/2"], "labels": labels}))
+        code, _, err = run_cli(["measures", str(path)], capsys)
+        assert code == 1
+        assert str(path) in err and "'labels' must be a JSON array" in err
+
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            (json.dumps({"entries": 5}), "'entries' must be a JSON array"),
+            (json.dumps({"entries": [5]}), "row 1 of 'entries' must be a JSON array"),
+            ("7", "needs a JSON object"),
+        ],
+    )
+    def test_allocation_stack_shapes(self, tmp_path, content, field, capsys):
+        bad = tmp_path / "rows.json"
+        bad.write_text(content)
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"entries": [["1/3", "1/3", "1/3"]]}))
+        code, _, err = run_cli(["multi-check", str(bad), str(good)], capsys)
+        assert code == 1
+        assert str(bad) in err and field in err
+
+    def test_negative_lorenz_points(self, reference_file, capsys):
+        code, out, err = run_cli(["lorenz", reference_file, "--points", "-3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--points" in err
+
+
 class TestUsageAndDeterminism:
     def test_missing_subcommand(self, capsys):
         code, _, err = run_cli([], capsys)

@@ -112,6 +112,16 @@ class TestMatrixFiles:
         with pytest.raises(DimensionMismatch):
             load_square_matrix(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        ["7", json.dumps({"entries": 5}), json.dumps({"entries": [["1"], 1]})],
+    )
+    def test_wrong_json_shapes(self, tmp_path, content):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="JSON"):
+            load_square_matrix(path)
+
 
 class TestAllocationStacks:
     def test_two_rows(self, tmp_path):

@@ -1,5 +1,6 @@
 """Exact phase-one feasibility solver."""
 
+import random
 from fractions import Fraction as F
 
 from naivediv.lp import solve_equality_feasibility
@@ -55,3 +56,78 @@ def test_exactness_with_awkward_rationals():
     assert x is not None
     assert x[0] == eps
     check(rows, rhs, x)
+
+
+def reference_solve(rows, rhs):
+    """The phase-one loop before the objective row moved into the tableau:
+    reduced costs recomputed column by column from a separate cost vector,
+    dense row updates.  Kept as the oracle for the solver's pivot sequence."""
+    m = len(rows)
+    nvars = len(rows[0])
+    tableau = []
+    for i in range(m):
+        flip = F(-1) if rhs[i] < 0 else F(1)
+        row = [flip * c for c in rows[i]]
+        row.extend(F(1) if j == i else F(0) for j in range(m))
+        row.append(flip * rhs[i])
+        tableau.append(row)
+    basis = [nvars + i for i in range(m)]
+    cost = [F(0)] * nvars + [F(1)] * m
+    while True:
+        entering = -1
+        for j in range(nvars + m):
+            reduced = cost[j] - sum(cost[basis[i]] * tableau[i][j] for i in range(m))
+            if reduced < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best, leaving = ratio, i
+        inv = 1 / tableau[leaving][entering]
+        tableau[leaving] = [c * inv for c in tableau[leaving]]
+        for i in range(m):
+            factor = tableau[i][entering]
+            if i != leaving and factor != 0:
+                pivot = tableau[leaving]
+                tableau[i] = [c - factor * p for c, p in zip(tableau[i], pivot)]
+        basis[leaving] = entering
+    if sum(cost[basis[i]] * tableau[i][-1] for i in range(m)) != 0:
+        return None
+    solution = [F(0)] * nvars
+    for i in range(m):
+        if basis[i] < nvars:
+            solution[basis[i]] = tableau[i][-1]
+    return solution
+
+
+def test_same_answers_as_the_reference_loop():
+    rng = random.Random(2016)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        nvars = rng.randint(1, 6)
+        rows = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nvars)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.5:
+            # feasible by construction: the image of a nonnegative point
+            x0 = [F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(nvars)]
+            rhs = [sum(c * v for c, v in zip(row, x0)) for row in rows]
+        else:
+            rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+        x = solve_equality_feasibility(rows, rhs)
+        assert x == reference_solve(rows, rhs)
+        outcomes[x is not None] += 1
+        if x is not None:
+            check(rows, rhs, x)
+    assert min(outcomes.values()) >= 50

@@ -34,6 +34,7 @@ from naivediv.matrices import (
     t_to_matrix,
     uniform_mixing_matrix,
 )
+from naivediv.rebalancing import polytope_membership
 from naivediv.simplex import (
     WeightVector,
     majorizes,
@@ -101,6 +102,135 @@ class TestPredicates:
             m = SquareMatrix(tuple(tuple(row) for row in base))
             expected = is_doubly_stochastic(m)
         assert is_d_stochastic(m, uniform_vector(n)) == expected
+
+
+def doubly_stochastic_by_definition(m):
+    """The Fraction-by-Fraction definition behind is_doubly_stochastic."""
+    n = m.order
+    return (
+        all(e >= 0 for row in m.rows for e in row)
+        and all(sum(row) == 1 for row in m.rows)
+        and all(sum(m.rows[i][j] for i in range(n)) == 1 for j in range(n))
+    )
+
+
+def d_stochastic_by_definition(m, d):
+    """The Fraction-by-Fraction definition behind is_d_stochastic."""
+    n = m.order
+    return (
+        all(e >= 0 for row in m.rows for e in row)
+        and all(sum(row) == 1 for row in m.rows)
+        and all(
+            sum(d.weights[i] * m.rows[i][j] for i in range(n)) == d.weights[j]
+            for j in range(n)
+        )
+    )
+
+
+def polytope_by_definition(p, w):
+    """The Fraction-by-Fraction definition behind polytope_membership."""
+    n = p.order
+    return doubly_stochastic_by_definition(p) and all(
+        sum(w.weights[i] * p.rows[i][j] for i in range(n)) == F(1, n)
+        for j in range(n)
+    )
+
+
+TINY = F(1, 10**40)
+
+
+def shifted(m, i, j, l, e):
+    """``m`` with mass ``e`` moved from (i, l) to (i, j): row sums stay,
+    columns j and l move by e."""
+    rows = [list(row) for row in m.rows]
+    rows[i][j] += e
+    rows[i][l] -= e
+    return SquareMatrix(tuple(tuple(row) for row in rows))
+
+
+def checker_cases(rng, n):
+    """A vector v with zeros likely, and matrices on both sides of each check."""
+    parts = [rng.choice([0, 0, 1, 2, 5]) for _ in range(n)]
+    parts[rng.randrange(n)] += 1
+    v = WeightVector(tuple(F(x, sum(parts)) for x in parts))
+    ds = random_doubly_stochastic(rng.randrange(10**6), n, k=rng.randint(1, 3))
+    lam = F(rng.randint(0, 4), 4)
+    # lam * I + (1 - lam) * (every row v) fixes v
+    fixes_v = SquareMatrix(
+        tuple(
+            tuple(lam * (i == j) + (1 - lam) * v.weights[j] for j in range(n))
+            for i in range(n)
+        )
+    )
+    zero_slots = [i for i in range(n) if v.weights[i] == 0]
+    if zero_slots:
+        # a slot that v leaves empty may send its row anywhere
+        rows = [list(row) for row in fixes_v.rows]
+        rows[zero_slots[0]] = list(ds.rows[0])
+        fixes_v = SquareMatrix(tuple(tuple(row) for row in rows))
+    carries_v = hlp_witness(v, uniform_vector(n))
+    i, j, l = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    k = rng.randrange(n)
+    big = ds.rows[i][l] + F(1, 7)
+    cases = [ds, fixes_v, carries_v, uniform_mixing_matrix(n), SquareMatrix.identity(n)]
+    if j != l:
+        for base in (ds, fixes_v, carries_v):
+            cases.append(shifted(base, i, j, l, TINY))  # columns off by 1e-40
+        cases.append(shifted(ds, i, j, l, big))  # a negative entry
+        if k != i:
+            # a 2x2 cycle keeps every line sum but goes negative
+            cases.append(shifted(shifted(ds, i, j, l, big), k, l, j, big))
+    cases.append(
+        SquareMatrix(
+            tuple(
+                tuple(F(rng.randint(-1, 3), rng.randint(1, 3)) for _ in range(n))
+                for _ in range(n)
+            )
+        )
+    )
+    return v, cases
+
+
+class TestCheckersAgainstDefinitions:
+    def test_verdicts_match_the_fraction_definitions(self):
+        rng = random.Random(1990)
+        seen = set()
+        for _ in range(150):
+            v, cases = checker_cases(rng, rng.randint(2, 6))
+            for m in cases:
+                verdicts = (
+                    ("ds", is_doubly_stochastic(m), doubly_stochastic_by_definition(m)),
+                    ("d", is_d_stochastic(m, v), d_stochastic_by_definition(m, v)),
+                    (
+                        "polytope",
+                        polytope_membership(m, v),
+                        polytope_by_definition(m, v),
+                    ),
+                )
+                for name, got, want in verdicts:
+                    assert got == want, (name, m, v)
+                    seen.add((name, got))
+        assert len(seen) == 6  # every check answered both ways
+
+    def test_column_sums_off_by_1e_40_are_rejected(self):
+        m = shifted(uniform_mixing_matrix(3), 0, 0, 1, TINY)
+        assert all(sum(row) == 1 for row in m.rows)
+        assert not is_doubly_stochastic(m)
+        assert not is_d_stochastic(m, uniform_vector(3))
+        assert not polytope_membership(m, uniform_vector(3))
+
+    def test_negative_entry_with_every_line_sum_one_is_rejected(self):
+        m = SquareMatrix(((F(-1), F(2)), (F(2), F(-1))))
+        assert not is_doubly_stochastic(m)
+        assert not is_d_stochastic(m, uniform_vector(2))
+
+    def test_zero_slot_rows_are_free(self):
+        d = weight_vector(["1/2", "1/2", "0"])
+        m = SquareMatrix(
+            ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(1, 5), F(3, 10), F(1, 2)))
+        )
+        assert is_d_stochastic(m, d)
+        assert not is_doubly_stochastic(m)
 
 
 class TestApply:

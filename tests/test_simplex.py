@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import majorization_pairs, weight_vectors
 from naivediv.errors import LengthMismatch
@@ -142,6 +143,37 @@ class TestCompare:
         a = weight_vector(["3/5", "1/5", "1/5"])
         b = weight_vector(["1/2", "9/20", "1/20"])
         assert compare(a, b) is MajorizationRelation.INCOMPARABLE
+
+
+    @given(
+        st.one_of(
+            majorization_pairs(min_n=1),
+            st.integers(1, 6).flatmap(
+                lambda n: st.tuples(
+                    weight_vectors(min_n=n, max_n=n), weight_vectors(min_n=n, max_n=n)
+                )
+            ),
+        )
+    )
+    def test_agrees_with_the_old_definition(self, pair):
+        a, b = pair
+        b_reversed = WeightVector(tuple(reversed(b.weights)))
+        for x, y in ((a, b), (b, a), (b, b_reversed)):
+            assert compare(x, y) is compare_by_definition(x, y)
+
+
+def compare_by_definition(alpha, beta):
+    """What compare computed before it walked the partial sums once:
+    sorted equality, then majorizes in each direction."""
+    if alpha.sorted_descending() == beta.sorted_descending():
+        return MajorizationRelation.EQUAL_UP_TO_PERMUTATION
+    beta_dominates = majorizes(beta, alpha)
+    alpha_dominates = majorizes(alpha, beta)
+    if beta_dominates and not alpha_dominates:
+        return MajorizationRelation.FIRST_MORE_EQUAL
+    if alpha_dominates and not beta_dominates:
+        return MajorizationRelation.SECOND_MORE_EQUAL
+    return MajorizationRelation.INCOMPARABLE
 
 
 class TestLorenzCurve:
