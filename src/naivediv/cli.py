@@ -30,12 +30,18 @@ from .measures import (
     schur_ostrowski_report,
 )
 from .preferences import (
+    _FROM_RELATION,
     aversion_squared,
     inequality_aversion_coefficient,
-    naive_prefer,
 )
 from .rebalancing import rebalance_to
-from .simplex import compare, lorenz_curve, lorenz_dominates, uniform_vector
+from .simplex import (
+    _curve_values,
+    compare,
+    lorenz_curve,
+    lorenz_dominates,
+    uniform_vector,
+)
 
 
 @dataclass
@@ -261,17 +267,14 @@ def _cmd_compare(args, config: CliConfig) -> int:
     second = fileio.load_weights(args.second)
     if args.lorenz:
         relation = lorenz_dominates(lorenz_curve(first), lorenz_curve(second))
-        _emit(_render_pairs([("relation", relation.value)], config), config)
-        return 0
-    relation = compare(first, second)
-    preference = naive_prefer(first, second)
-    _emit(
-        _render_pairs(
-            [("relation", relation.value), ("preference", preference.value)],
-            config,
-        ),
-        config,
-    )
+        pairs = [("relation", relation.value)]
+    else:
+        relation = compare(first, second)
+        pairs = [
+            ("relation", relation.value),
+            ("preference", _FROM_RELATION[relation].value),
+        ]
+    _emit(_render_pairs(pairs, config), config)
     return 0
 
 
@@ -317,7 +320,8 @@ def _cmd_lorenz(args, config: CliConfig) -> int:
     grid = set(curve.breakpoints())
     if args.points > 0:
         grid |= {Fraction(i, args.points) for i in range(args.points + 1)}
-    rows = [(t, curve.value_at(t)) for t in sorted(grid)]
+    grid = sorted(grid)
+    rows = list(zip(grid, _curve_values(curve.points, grid)))
     if config.format == "json":
         payload = [{"t": str(t), "value": str(v)} for t, v in rows]
         _emit(_render_json({"points": payload}), config)

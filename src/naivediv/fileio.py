@@ -54,6 +54,15 @@ def _json_array(value: object, what: str, where: str | Path) -> list:
     return value
 
 
+def _json_rows(value: object, field: str, where: str | Path) -> list[list]:
+    """``value``, the ``field`` of a file, which must be a JSON array of arrays."""
+    rows = _json_array(value, repr(field), where)
+    return [
+        _json_array(row, f"row {i} of {field!r}", where)
+        for i, row in enumerate(rows, 1)
+    ]
+
+
 def _weights_from_dict(data: object, where: str | Path) -> WeightVector:
     if not isinstance(data, dict) or "weights" not in data:
         raise ValueError(f"{where}: needs a JSON object with a 'weights' field")
@@ -104,10 +113,7 @@ def _entries(path: Path) -> tuple[dict, list[list]]:
     data = json.loads(path.read_text())
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError(f"{path}: needs a JSON object with an 'entries' field")
-    rows = _json_array(data["entries"], "'entries'", path)
-    return data, [
-        _json_array(row, f"row {i} of 'entries'", path) for i, row in enumerate(rows, 1)
-    ]
+    return data, _json_rows(data["entries"], "entries", path)
 
 
 def load_square_matrix(path: str | Path) -> SquareMatrix:
@@ -156,17 +162,28 @@ def plan_to_dict(plan: RebalancePlan, precision: int = 12) -> dict:
     }
 
 
+def _json_objects(value: object, field: str, keys: tuple[str, ...]) -> list[dict]:
+    """A plan's ``field``: a JSON array of objects that each hold ``keys``."""
+    items = _json_array(value, repr(field), "plan data")
+    if not all(isinstance(x, dict) and all(k in x for k in keys) for x in items):
+        raise ValueError(
+            f"plan data: each item of {field!r} must be a JSON object with "
+            f"the fields {', '.join(keys)}"
+        )
+    return items
+
+
 def plan_from_dict(data: dict) -> RebalancePlan:
     """Rebuild a plan from its JSON form; replay is re-verified on construction."""
     source = weights_from_dict(data["source"])
     target = weights_from_dict(data["target"])
     steps = tuple(
         TTransform(int(s["j"]) - 1, int(s["k"]) - 1, parse_rational(s["lambda"]))
-        for s in data["steps"]
+        for s in _json_objects(data["steps"], "steps", ("j", "k", "lambda"))
     )
     intermediates = tuple(
         WeightVector(tuple(parse_rational(x) for x in row))
-        for row in data["intermediates"]
+        for row in _json_rows(data["intermediates"], "intermediates", "plan data")
     )
     practical = data.get("practical_turnover")
     return RebalancePlan(
@@ -177,7 +194,8 @@ def plan_from_dict(data: dict) -> RebalancePlan:
         turnover=parse_rational(data["turnover"]),
         practical_turnover=float(practical) if practical is not None else None,
         trades=tuple(
-            (t["label"], parse_rational(t["delta"])) for t in data["trades"]
+            (t["label"], parse_rational(t["delta"]))
+            for t in _json_objects(data["trades"], "trades", ("label", "delta"))
         ),
         cost=float(data["cost"]),
         cost_rate=float(data["cost_rate"]),

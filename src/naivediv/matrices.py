@@ -28,14 +28,7 @@ from .errors import (
     LengthMismatch,
     NotMajorized,
 )
-from .simplex import (
-    RationalLike,
-    WeightVector,
-    as_fraction,
-    majorizes,
-    random_weight_vector,
-    uniform_vector,
-)
+from .simplex import WeightVector, as_fraction, majorizes, random_weight_vector
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,15 +63,11 @@ class SquareMatrix:
     def order(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.order != other.order:
             raise DimensionMismatch(
                 f"orders differ: {self.order} vs {other.order}"
             )
-        n = self.order
         cols = list(zip(*other.rows))
         product = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
@@ -231,17 +220,7 @@ def apply(w: WeightVector, m: SquareMatrix) -> WeightVector:
 
 def t_to_matrix(t: TTransform, n: int) -> DoublyStochasticMatrix:
     """Materialize a transform as an order-n doubly stochastic matrix."""
-    if t.j >= n or t.k >= n:
-        raise IndexOutOfRange(
-            f"transform touches coordinate {max(t.j, t.k)} of an order-{n} matrix"
-        )
-    lam = t.lam
-    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    rows[t.j][t.j] = lam
-    rows[t.j][t.k] = 1 - lam
-    rows[t.k][t.k] = lam
-    rows[t.k][t.j] = 1 - lam
-    return DoublyStochasticMatrix(tuple(tuple(row) for row in rows))
+    return compose((t,), n)
 
 
 def compose(steps: Iterable[TTransform], n: int) -> DoublyStochasticMatrix:
@@ -479,10 +458,6 @@ def random_strict_majorization_pair(
     j, k = rng.sample(range(n), 2)
     lam = Fraction(rng.randint(10, 90), 100)
     alpha = apply_transform(beta, TTransform(j, k, lam))
-    if sorted(alpha.weights) == sorted(beta.weights):
-        # lam = 1/2 on a tied pair cannot happen because of the gap guard,
-        # so equality here would mean the transform was a no-op; resample.
-        return random_strict_majorization_pair(rng, n)
     return alpha, beta
 
 

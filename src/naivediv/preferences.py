@@ -4,7 +4,8 @@ An allocator who prefers more evenly spread weights ranks two candidate
 allocations by majorization: the less concentrated one wins, equal-up-to-
 permutation means indifference, and incomparable pairs stay undecided.
 ``relative_naive_prefer`` generalizes the benchmark from the equal-weight
-vector to an arbitrary reference allocation via exact feasibility LPs.
+vector to an arbitrary reference allocation by comparing exact cumulative
+curves taken relative to it.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import LengthMismatch
-from .matrices import d_stochastic_witness
 from .simplex import (
     MajorizationRelation,
     WeightVector,
+    _curve_relation,
     compare,
     uniform_vector,
 )
@@ -68,6 +69,20 @@ def more_is_better_chain(n: int) -> list[WeightVector]:
     return chain
 
 
+def _relative_curve(
+    w: WeightVector, d: WeightVector
+) -> list[tuple[Fraction, Fraction]]:
+    """The concave curve through the cumulative sums of (d_i, w_i), slots in
+    decreasing order of w_i / d_i; slots with d_i = 0 form a jump at x = 0."""
+    jump = sum((wi for wi, di in zip(w, d) if di == 0), Fraction(0))
+    points = [(Fraction(0), jump)]
+    slots = sorted(((wi / di, di, wi) for wi, di in zip(w, d) if di), reverse=True)
+    for _, di, wi in slots:
+        x, y = points[-1]
+        points.append((x + di, y + wi))
+    return points
+
+
 def relative_naive_prefer(
     alpha: WeightVector, beta: WeightVector, d: WeightVector
 ) -> PreferenceOutcome:
@@ -75,21 +90,19 @@ def relative_naive_prefer(
 
     ``alpha`` improves on ``beta`` when some matrix that fixes ``d`` (rows
     summing to one, nonnegative entries) carries ``beta`` onto ``alpha``:
-    alpha is then a d-directed smoothing of beta.  Feasibility both ways is
-    indifference; neither way leaves the pair undecided.  With ``d`` uniform
-    this reduces to plain majorization-based preference.
+    alpha is then a d-directed smoothing of beta.  Such a matrix exists
+    exactly when beta's curve relative to ``d`` lies weakly above alpha's
+    (d-majorization, Veinott 1971), so no LP is solved here;
+    ``matrices.d_stochastic_witness`` builds the matrix.  Both ways is
+    indifference; neither way leaves the pair undecided.  With ``d``
+    uniform this reduces to plain majorization-based preference.
     """
     if alpha.n != beta.n or alpha.n != d.n:
         raise LengthMismatch("all three vectors must share one length")
-    forward = d_stochastic_witness(beta, alpha, d) is not None
-    backward = d_stochastic_witness(alpha, beta, d) is not None
-    if forward and backward:
-        return PreferenceOutcome.INDIFFERENT
-    if forward:
-        return PreferenceOutcome.FIRST_PREFERRED
-    if backward:
-        return PreferenceOutcome.SECOND_PREFERRED
-    return PreferenceOutcome.DEPENDS
+    # the lower relative curve is the smoother allocation: beta's goes first
+    return _FROM_RELATION[
+        _curve_relation(_relative_curve(beta, d), _relative_curve(alpha, d))
+    ]
 
 
 def aversion_squared(d: WeightVector) -> Fraction:

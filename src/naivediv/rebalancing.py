@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotInPolytope, NotMajorized
+from .errors import DimensionMismatch, NotInPolytope
 from .matrices import (
     DoublyStochasticMatrix,
     SquareMatrix,

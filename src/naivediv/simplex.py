@@ -24,6 +24,8 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import LengthMismatch
 
 RationalLike = Union[Fraction, int, str]
+#: A piecewise-linear curve: its breakpoints, abscissas strictly increasing.
+_Points = Sequence[tuple[Fraction, Fraction]]
 
 _SAMPLER_DENOMINATOR_CAP = 10**6
 
@@ -158,12 +160,42 @@ def compare(alpha: WeightVector, beta: WeightVector) -> MajorizationRelation:
         elif gap < 0:
             beta_above = True
         if alpha_above and beta_above:
-            return MajorizationRelation.INCOMPARABLE
-    if beta_above:
+            break
+    # beta's partial sums above alpha's is alpha's Lorenz curve above beta's
+    return _relation(beta_above, alpha_above)
+
+
+def _relation(first_higher: bool, second_higher: bool) -> MajorizationRelation:
+    """The verdict from whether each curve lies strictly above the other
+    somewhere; the higher Lorenz curve belongs to the more equal allocation."""
+    if first_higher and second_higher:
+        return MajorizationRelation.INCOMPARABLE
+    if first_higher:
         return MajorizationRelation.FIRST_MORE_EQUAL
-    if alpha_above:
+    if second_higher:
         return MajorizationRelation.SECOND_MORE_EQUAL
     return MajorizationRelation.EQUAL_UP_TO_PERMUTATION
+
+
+def _curve_values(points: _Points, grid: Iterable[Fraction]) -> Iterator[Fraction]:
+    """Exact values at ascending abscissas ``grid`` of the piecewise-linear
+    curve through ``points``, in one pass over its segments."""
+    segment = 0
+    last = len(points) - 2
+    for t in grid:
+        while segment < last and points[segment + 1][0] < t:
+            segment += 1
+        (x0, y0), (x1, y1) = points[segment], points[segment + 1]
+        yield y1 if t == x1 else y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+
+def _curve_relation(p: _Points, q: _Points) -> MajorizationRelation:
+    """FIRST_MORE_EQUAL when curve ``p`` lies weakly above curve ``q`` and
+    strictly above it somewhere, and so on.  Both are linear between the
+    union of their breakpoints, so comparing there is sufficient."""
+    grid = sorted({x for x, _ in p} | {x for x, _ in q})
+    pairs = list(zip(_curve_values(p, grid), _curve_values(q, grid)))
+    return _relation(any(a > b for a, b in pairs), any(b > a for a, b in pairs))
 
 
 def half_l1(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
@@ -214,11 +246,7 @@ class LorenzCurve:
         t = as_fraction(t)
         if t < 0 or t > 1:
             raise ValueError("abscissa must lie in [0, 1]")
-        pts = self.points
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if t <= x1:
-                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-        return Fraction(1)
+        return next(_curve_values(self.points, (t,)))
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(p[0] for p in self.points)
@@ -239,26 +267,9 @@ def lorenz_curve(w: WeightVector) -> LorenzCurve:
 def lorenz_dominates(a: LorenzCurve, b: LorenzCurve) -> MajorizationRelation:
     """Compare two curves pointwise; lengths of the underlying vectors may differ.
 
-    Comparing at the union of breakpoints is sufficient for piecewise-linear
-    curves.  A higher curve belongs to the more equal allocation.
+    A higher curve belongs to the more equal allocation.
     """
-    grid = sorted(set(a.breakpoints()) | set(b.breakpoints()))
-    a_above = False
-    b_above = False
-    for t in grid:
-        va = a.value_at(t)
-        vb = b.value_at(t)
-        if va > vb:
-            a_above = True
-        elif vb > va:
-            b_above = True
-    if a_above and b_above:
-        return MajorizationRelation.INCOMPARABLE
-    if a_above:
-        return MajorizationRelation.FIRST_MORE_EQUAL
-    if b_above:
-        return MajorizationRelation.SECOND_MORE_EQUAL
-    return MajorizationRelation.EQUAL_UP_TO_PERMUTATION
+    return _curve_relation(a.points, b.points)
 
 
 def random_weight_vector(rng: random.Random, n: int) -> WeightVector:

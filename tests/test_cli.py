@@ -81,6 +81,26 @@ class TestCompare:
         assert code == 1
         assert "naivediv:" in err
 
+    def test_relation_computed_once_per_request(
+        self, reference_file, uniform_file, capsys, monkeypatch
+    ):
+        import naivediv.cli
+        import naivediv.preferences
+        from naivediv.simplex import compare
+
+        calls = []
+
+        def counting(alpha, beta):
+            calls.append(1)
+            return compare(alpha, beta)
+
+        monkeypatch.setattr(naivediv.cli, "compare", counting)
+        monkeypatch.setattr(naivediv.preferences, "compare", counting)
+        code, out, _ = run_cli(["compare", uniform_file, reference_file], capsys)
+        assert code == 0
+        assert "preference  FirstPreferred" in out
+        assert len(calls) == 1
+
 
 class TestMeasures:
     def test_json_values(self, reference_file, capsys):

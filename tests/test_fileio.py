@@ -217,6 +217,24 @@ class TestPlanFiles:
         with pytest.raises(ValueError):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 5),
+            ("trades", 3),
+            ("steps", [5]),
+            ("trades", [1]),
+            ("steps", [{"j": 1, "lambda": "1/2"}]),
+            ("intermediates", "x"),
+            ("intermediates", ["1/3"]),
+        ],
+    )
+    def test_wrongly_typed_fields_rejected(self, field, value):
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE))
+        data[field] = value
+        with pytest.raises(ValueError, match=field):
+            plan_from_dict(data)
+
     def test_source_labels_name_the_trades(self):
         source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
         data = plan_to_dict(minimal_turnover_plan(source))

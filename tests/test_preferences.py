@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import majorization_pairs, weight_vectors
 from naivediv.errors import LengthMismatch
-from naivediv.matrices import TTransform, apply_transform, random_majorization_pair
+from naivediv.matrices import (
+    TTransform,
+    apply_transform,
+    d_stochastic_witness,
+    random_majorization_pair,
+)
 from naivediv.preferences import (
     PreferenceOutcome,
     aversion_squared,
@@ -155,6 +160,61 @@ class TestRelativePreference:
             relative_naive_prefer(
                 uniform_vector(2), uniform_vector(2), uniform_vector(3)
             )
+
+    def test_agrees_with_the_witness_lp_both_ways(self):
+        # The exact LP is the reference: alpha is preferred when a d-fixing
+        # stochastic matrix carries beta onto alpha, and the other way round.
+        rng = random.Random(2024)
+
+        def small_vector(n, zeros):
+            while True:
+                parts = [rng.randint(0 if zeros else 1, 4) for _ in range(n)]
+                if sum(parts):
+                    return WeightVector(tuple(F(p, sum(parts)) for p in parts))
+
+        outcomes = {
+            (True, True): PreferenceOutcome.INDIFFERENT,
+            (True, False): PreferenceOutcome.FIRST_PREFERRED,
+            (False, True): PreferenceOutcome.SECOND_PREFERRED,
+            (False, False): PreferenceOutcome.DEPENDS,
+        }
+        seen = dict.fromkeys(outcomes.values(), 0)
+        for case in range(200):
+            n = rng.randint(2, 6)
+            d = small_vector(n, zeros=case % 2 == 0)
+            beta = small_vector(n, zeros=True)
+            kind = case % 5
+            if kind <= 1:
+                alpha = small_vector(n, zeros=True)
+            elif kind == 2:
+                alpha = beta
+            elif kind == 3:
+                alpha = d
+            else:
+                # rows t * e_i + (1 - t) * d fix d and pull beta toward it
+                t = F(rng.randint(0, 3), 4)
+                alpha = WeightVector(
+                    tuple(t * b + (1 - t) * x for b, x in zip(beta.weights, d.weights))
+                )
+                if case % 2:
+                    alpha, beta = beta, alpha
+            forward = d_stochastic_witness(beta, alpha, d) is not None
+            backward = d_stochastic_witness(alpha, beta, d) is not None
+            want = outcomes[forward, backward]
+            assert relative_naive_prefer(alpha, beta, d) is want, (alpha, beta, d)
+            seen[want] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_decides_without_the_lp(self, monkeypatch):
+        import naivediv.lp
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the verdict must not solve an LP")
+
+        monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", no_lp)
+        d = weight_vector(["1/2", "1/4", "1/4", "0"])
+        beta = weight_vector(["1/10", "3/5", "1/5", "1/10"])
+        assert relative_naive_prefer(d, beta, d) is PreferenceOutcome.FIRST_PREFERRED
 
 
 class TestAversion:

@@ -255,12 +255,16 @@ class TestLorenzDominates:
 
     @given(weight_vectors(min_n=2), weight_vectors(min_n=2))
     def test_consistency_with_compare_on_equal_lengths(self, a, b):
-        if a.n != b.n:
-            return
-        assert (compare(a, b) is MajorizationRelation.FIRST_MORE_EQUAL) == (
-            lorenz_dominates(lorenz_curve(a), lorenz_curve(b))
-            is MajorizationRelation.FIRST_MORE_EQUAL
-        )
+        # Repeating each entry k times and dividing by k leaves the Lorenz
+        # curve as it is, so copies of equal length m * n let compare decide
+        # for vectors of any lengths n and m.
+        def copies(w, k):
+            return WeightVector(tuple(x / k for x in w.weights for _ in range(k)))
+
+        expected = compare(copies(a, b.n), copies(b, a.n))
+        assert lorenz_dominates(lorenz_curve(a), lorenz_curve(b)) is expected
+        if a.n == b.n:
+            assert compare(a, b) is expected
 
 
 def test_random_weight_vector_is_deterministic_and_valid():
