@@ -173,12 +173,29 @@ def _json_objects(value: object, field: str, keys: tuple[str, ...]) -> list[dict
     return items
 
 
+def _plan_scalar(value: object, what: str, kind: str) -> int | float:
+    """``value``, which must be a JSON ``kind``: "integer" or "number".
+
+    Python reads JSON ``true`` as an int; it is neither kind here.
+    """
+    types = int if kind == "integer" else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(
+            f"plan data: {what} must be a JSON {kind}, got {type(value).__name__}"
+        )
+    return value
+
+
 def plan_from_dict(data: dict) -> RebalancePlan:
     """Rebuild a plan from its JSON form; replay is re-verified on construction."""
     source = weights_from_dict(data["source"])
     target = weights_from_dict(data["target"])
     steps = tuple(
-        TTransform(int(s["j"]) - 1, int(s["k"]) - 1, parse_rational(s["lambda"]))
+        TTransform(
+            _plan_scalar(s["j"], "'j' of a step", "integer") - 1,
+            _plan_scalar(s["k"], "'k' of a step", "integer") - 1,
+            parse_rational(s["lambda"]),
+        )
         for s in _json_objects(data["steps"], "steps", ("j", "k", "lambda"))
     )
     intermediates = tuple(
@@ -192,13 +209,17 @@ def plan_from_dict(data: dict) -> RebalancePlan:
         steps=steps,
         intermediates=intermediates,
         turnover=parse_rational(data["turnover"]),
-        practical_turnover=float(practical) if practical is not None else None,
+        practical_turnover=(
+            float(_plan_scalar(practical, "'practical_turnover'", "number"))
+            if practical is not None
+            else None
+        ),
         trades=tuple(
             (t["label"], parse_rational(t["delta"]))
             for t in _json_objects(data["trades"], "trades", ("label", "delta"))
         ),
-        cost=float(data["cost"]),
-        cost_rate=float(data["cost_rate"]),
+        cost=float(_plan_scalar(data["cost"], "'cost'", "number")),
+        cost_rate=float(_plan_scalar(data["cost_rate"], "'cost_rate'", "number")),
     )
 
 

@@ -1,9 +1,18 @@
 """Exact linear feasibility over the rationals.
 
 A small phase-one simplex: minimize the sum of artificial variables for
-``A x = b, x >= 0`` with every coefficient a `fractions.Fraction`.  Bland's
-rule (lowest eligible index enters, ties on the ratio test broken by the
-lowest basis index) guarantees termination without any tolerance games.
+``A x = b, x >= 0``.  Bland's rule (lowest eligible index enters, ties on
+the ratio test broken by the lowest basis index) guarantees termination
+without any tolerance games.
+
+Each tableau row, the objective row included, is a list of Python ints
+over one positive denominator of its own, kept in lowest terms.  A pivot
+updates a row with integer multiplications and one gcd, where entrywise
+`fractions.Fraction` arithmetic would take a gcd per entry.  The values
+are exactly those of a Fraction tableau, so the pivots and the solution
+are too.  The rows keep their own denominators rather than one shared
+determinant (Bareiss): with unrelated thousand-bit denominators in the
+input, a shared one grows far larger than any row needs.
 
 The callers ask about order-n mixing matrices: n^2 structural variables
 plus one artificial per equation, a few hundred tableau columns at the
@@ -12,10 +21,18 @@ orders in use, where a dense tableau is the simplest thing that works.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .simplex import _integer_view
+
+
+def _reduced(den: int, row: list[int]) -> tuple[int, list[int]]:
+    """``(den, row)`` divided through by their gcd; ``den`` stays positive."""
+    g = math.gcd(den, *row)
+    if g == 1:
+        return den, row
+    return den // g, [e // g for e in row]
 
 
 def solve_equality_feasibility(
@@ -33,62 +50,79 @@ def solve_equality_feasibility(
     if any(len(r) != nvars for r in rows) or len(rhs) != m:
         raise ValueError("ragged constraint system")
 
-    # Tableau columns: structural vars, artificial vars, rhs.
-    tableau: list[list[Fraction]] = []
+    # Tableau columns: structural vars, artificial vars, rhs.  Row i holds
+    # the values nums[i][j] / dens[i].
+    dens: list[int] = []
+    nums: list[list[int]] = []
     for i in range(m):
-        flip = -ONE if rhs[i] < 0 else ONE
-        row = [flip * c for c in rows[i]]
-        row.extend(ONE if j == i else ZERO for j in range(m))
-        row.append(flip * rhs[i])
-        tableau.append(row)
+        flip = -1 if rhs[i] < 0 else 1
+        den, (coeffs,) = _integer_view(([*rows[i], rhs[i]],))
+        row = [flip * c for c in coeffs[:nvars]]
+        row.extend(den if j == i else 0 for j in range(m))
+        row.append(flip * coeffs[-1])
+        dens.append(den)
+        nums.append(row)
     # The last row holds the reduced costs of the phase-one objective (the
     # sum of the artificials) and, in its rhs cell, minus the objective
     # value; pivots keep it current like any other row.
-    objective = [-sum(col) for col in zip(*tableau)]
-    objective[nvars : nvars + m] = [ZERO] * m
-    tableau.append(objective)
+    scale = math.lcm(*dens)
+    objective = [
+        -sum(scale // den * e for den, e in zip(dens, col)) for col in zip(*nums)
+    ]
+    objective[nvars : nvars + m] = [0] * m
+    obj_den, objective = _reduced(scale, objective)
+    dens.append(obj_den)
+    nums.append(objective)
     basis = [nvars + i for i in range(m)]
 
     while True:
+        objective = nums[m]
         entering = next((j for j in range(nvars + m) if objective[j] < 0), -1)
         if entering < 0:
             break
+        # Row i's ratio is rhs_i / coeff_i = nums[i][-1] / nums[i][entering]:
+        # the row's denominator cancels, so the test compares cross products.
         leaving = -1
-        best_ratio = None
         for i in range(m):
-            coeff = tableau[i][entering]
+            coeff = nums[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
+                if leaving < 0:
+                    leaving = i
+                    continue
+                here = nums[i][-1] * nums[leaving][entering]
+                best = nums[leaving][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             # A feasibility objective is bounded below by zero, so an
             # unbounded improving direction cannot occur.
             raise RuntimeError("phase-one simplex lost boundedness")
-        _pivot(tableau, leaving, entering)
+        _pivot(dens, nums, leaving, entering)
         basis[leaving] = entering
 
-    if objective[-1] != 0:
+    if nums[m][-1] != 0:
         return None
-    solution = [ZERO] * nvars
+    solution = [Fraction(0)] * nvars
     for i in range(m):
         if basis[i] < nvars:
-            solution[basis[i]] = tableau[i][-1]
+            solution[basis[i]] = Fraction(nums[i][-1], dens[i])
     return solution
 
 
-def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    inv = ONE / tableau[row][col]
-    pivot_row = [c * inv for c in tableau[row]]
-    tableau[row] = pivot_row
-    support = [j for j, p in enumerate(pivot_row) if p]
-    for i, other in enumerate(tableau):
-        factor = other[col]
-        if i != row and factor:
-            for j in support:
-                other[j] -= factor * pivot_row[j]
+def _pivot(dens: list[int], nums: list[list[int]], row: int, col: int) -> None:
+    """Pivot the integer-row tableau on entry (row, col), which is positive."""
+    pivot_row = nums[row]
+    a = pivot_row[col]
+    # Dividing the row's values by a / dens[row] leaves its numerators over a.
+    dens[row], pivot_row = _reduced(a, pivot_row)
+    nums[row] = pivot_row
+    a = dens[row]
+    support = [(j, p) for j, p in enumerate(pivot_row) if p]
+    for i, other in enumerate(nums):
+        f = other[col]
+        if i != row and f:
+            # other / q - (f / q) * (pivot / a) == (a * other - f * pivot) / (a * q)
+            new = [e * a for e in other]
+            for j, p in support:
+                new[j] -= f * p
+            dens[i], nums[i] = _reduced(dens[i] * a, new)

@@ -14,7 +14,6 @@ such a chain explicitly, ``compose`` multiplies a chain out, and
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -28,7 +27,13 @@ from .errors import (
     LengthMismatch,
     NotMajorized,
 )
-from .simplex import WeightVector, as_fraction, majorizes, random_weight_vector
+from .simplex import (
+    WeightVector,
+    _integer_view,
+    as_fraction,
+    majorizes,
+    random_weight_vector,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -139,17 +144,6 @@ class TTransform:
         if lam < 0 or lam > 1:
             raise ValueError("mixing weight must lie in [0, 1]")
         object.__setattr__(self, "lam", lam)
-
-
-def _integer_view(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """``(scale, a)`` with ``a`` integer and ``rows == a / scale`` entrywise.
-
-    ``scale`` is the lcm of the denominators, so exact sums and comparisons
-    of the entries become Python int arithmetic.
-    """
-    scale = math.lcm(*(e.denominator for row in rows for e in row))
-    a = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
-    return scale, a
 
 
 def _carries(
@@ -365,6 +359,10 @@ def multivariate_feasible(
     ``x_rows`` and ``y_rows`` are d allocations over the same n slots: the
     columns of P mix Y's slots into X's slots simultaneously for every row.
     Returns a witness or None when infeasible.
+
+    X = Y @ P makes each x_a = y_a @ P, which y_a majorizes
+    (Hardy-Littlewood-Polya), so a row pair that fails that closed-form
+    test decides the question without the LP.
     """
     d = len(x_rows)
     if d == 0 or len(y_rows) != d:
@@ -372,6 +370,8 @@ def multivariate_feasible(
     n = x_rows[0].n
     if any(r.n != n for r in x_rows) or any(r.n != n for r in y_rows):
         raise DimensionMismatch("all rows must share one length")
+    if not all(map(majorizes, y_rows, x_rows)):
+        return None
     ones = (ONE,) * n
     pairs = [(ones, ones)] + [(y.weights, x.weights) for x, y in zip(x_rows, y_rows)]
     entries = _mixing_witness(pairs, n)

@@ -28,6 +28,7 @@ from .errors import DomainError, NotMajorized, UnknownMeasure
 from .matrices import random_majorization_pair, random_strict_majorization_pair
 from .simplex import (
     WeightVector,
+    _integer_view,
     as_fraction,
     half_l1,
     majorizes,
@@ -110,9 +111,12 @@ def _gini_ambient(xs: Sequence[float]) -> float:
 
 
 def _gini_exact(ws: Sequence[Fraction]) -> Fraction:
+    # sum over all pairs |a - b| == 2 * sum_i (2i - n - 1) * x_(i), with x
+    # ascending and i = 1..n; on one integer scale the sort compares ints.
     n = len(ws)
-    total = sum((abs(a - b) for a in ws for b in ws), start=Fraction(0))
-    return total / (n * n)
+    scale, (xs,) = _integer_view((ws,))
+    total = sum((2 * i - n - 1) * x for i, x in enumerate(sorted(xs), 1))
+    return Fraction(2 * total, n * n * scale)
 
 
 def _simpson_ambient(xs: Sequence[float]) -> float:

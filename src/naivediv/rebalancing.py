@@ -23,7 +23,6 @@ from .matrices import (
     SquareMatrix,
     TTransform,
     _carries,
-    _integer_view,
     apply_transform,
     averaging_step_count,
     compose,
@@ -33,6 +32,7 @@ from .matrices import (
 from .simplex import (
     RationalLike,
     WeightVector,
+    _integer_view,
     as_fraction,
     half_l1,
     uniform_vector,

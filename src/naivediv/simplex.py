@@ -15,6 +15,7 @@ is what a naive diversifier prefers.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -43,6 +44,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _integer_view(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(scale, a)`` with ``a`` integer and ``rows == a / scale`` entrywise.
+
+    ``scale`` is the lcm of the denominators, so exact sums and comparisons
+    of the entries become Python int arithmetic.
+    """
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    a = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
+    return scale, a
 
 
 class MajorizationRelation(Enum):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -367,6 +368,25 @@ class TestMultiCheck:
         code, out, _ = run_cli(["multi-check", str(target), str(source)], capsys)
         assert code == 0
         assert "feasible  false" in out
+
+    def test_witness_is_pinned(self, capsys):
+        # The witness is the LP's vertex, so it moves with the pivot rule or
+        # the tableau values; a change to either shows up here.  On this
+        # stack the most-negative entering rule, the reversed ratio-test tie
+        # break and last-index entering each reach another witness.
+        golden = Path(__file__).parent / "golden"
+        code, out, _ = run_cli(
+            [
+                "multi-check",
+                str(golden / "multi_check_targets.json"),
+                str(golden / "multi_check_sources.json"),
+                "--format",
+                "json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out == (golden / "multi_check_expected.json").read_text()
 
 
 class TestMalformedFiles:

@@ -235,6 +235,30 @@ class TestPlanFiles:
         with pytest.raises(ValueError, match=field):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("j", 1.5),
+            ("j", True),
+            ("j", None),
+            ("k", "3"),
+            ("cost", None),
+            ("cost", [1]),
+            ("cost", True),
+            ("cost_rate", None),
+            ("practical_turnover", "0.5"),
+            ("practical_turnover", [1]),
+        ],
+    )
+    def test_wrongly_typed_scalars_rejected(self, field, value):
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE))
+        if field in ("j", "k"):
+            data["steps"][0][field] = value
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            plan_from_dict(data)
+
     def test_source_labels_name_the_trades(self):
         source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
         data = plan_to_dict(minimal_turnover_plan(source))

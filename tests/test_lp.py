@@ -3,7 +3,17 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from naivediv import lp
 from naivediv.lp import solve_equality_feasibility
+from naivediv.matrices import (
+    _mixing_witness,
+    apply,
+    random_doubly_stochastic,
+    random_strict_majorization_pair,
+)
+from naivediv.simplex import random_weight_vector
 
 
 def check(rows, rhs, x):
@@ -131,3 +141,56 @@ def test_same_answers_as_the_reference_loop():
         if x is not None:
             check(rows, rhs, x)
     assert min(outcomes.values()) >= 50
+
+
+def mixing_systems(rng, count):
+    """(rows, rhs) as `_mixing_witness` poses them on sampler stacks, whose
+    entries have large denominators that differ from entry to entry."""
+    systems = []
+
+    def record(rows, rhs):
+        systems.append((rows, rhs))
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve_equality_feasibility", record)
+        for case in range(count):
+            n = rng.randint(2, 4)
+            d = rng.randint(1, 2)
+            ys = [random_weight_vector(rng, n) for _ in range(d)]
+            if case % 3 == 0:
+                # a witness LP: (d, d) and (beta, alpha), often infeasible
+                d_, beta = ys[0].weights, ys[-1].weights
+                pairs = [(d_, d_), (beta, random_weight_vector(rng, n).weights)]
+            else:
+                k = rng.randint(1, n)
+                p = random_doubly_stochastic(rng.randrange(10**9), n, k=k)
+                xs = [apply(y, p) for y in ys]
+                if case % 3 == 2:
+                    # sharpen one target: no mixing matrix reaches it
+                    flat, sharp = random_strict_majorization_pair(rng, n)
+                    ys[-1], xs[-1] = flat, sharp
+                ones = (F(1),) * n
+                pairs = [(ones, ones)]
+                pairs += [(y.weights, x.weights) for x, y in zip(xs, ys)]
+            _mixing_witness(pairs, n)
+    return systems
+
+
+def test_same_answers_as_the_reference_loop_on_mixing_systems():
+    rng = random.Random(1967)
+    outcomes = {True: 0, False: 0}
+    for rows, rhs in mixing_systems(rng, 45):
+        # redundant equations: the sum of two rows, and a row scaled by 3
+        i, j = rng.sample(range(len(rows)), 2)
+        rows = rows + [
+            [a + b for a, b in zip(rows[i], rows[j])],
+            [3 * c for c in rows[j]],
+        ]
+        rhs = rhs + [rhs[i] + rhs[j], 3 * rhs[j]]
+        x = solve_equality_feasibility(rows, rhs)
+        assert x == reference_solve(rows, rhs)
+        outcomes[x is not None] += 1
+        if x is not None:
+            check(rows, rhs, x)
+    assert min(outcomes.values()) >= 10

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import majorization_pairs, weight_vectors
+import naivediv.lp
 from naivediv.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -428,6 +429,32 @@ class TestMultivariateFeasible:
         y = [uniform_vector(3)]
         x = [weight_vector(["1", "0", "0"])]  # strictly majorizes the row of y
         assert multivariate_feasible(x, y) is None
+
+    def test_a_row_that_is_not_majorized_needs_no_lp(self, monkeypatch):
+        def no_lp(rows, rhs):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", no_lp)
+        y = [weight_vector(["1/2", "1/3", "1/6"]), uniform_vector(3)]
+        x = [uniform_vector(3), weight_vector(["1/2", "1/2", "0"])]
+        assert multivariate_feasible(x, y) is None
+
+    def test_jointly_infeasible_rows_reach_the_lp(self, monkeypatch):
+        # each target row is majorized by its source row, but one P would
+        # have to send (1, 0, 0) to two different rows
+        calls = []
+        solve = naivediv.lp.solve_equality_feasibility
+
+        def counted(rows, rhs):
+            calls.append(len(rows))
+            return solve(rows, rhs)
+
+        monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", counted)
+        y = [weight_vector(["1", "0", "0"])] * 2
+        x = [weight_vector(["1/2", "1/2", "0"]), weight_vector(["0", "1/2", "1/2"])]
+        assert all(map(majorizes, y, x))
+        assert multivariate_feasible(x, y) is None
+        assert len(calls) == 1
 
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):

@@ -69,6 +69,31 @@ class TestEvaluate:
         # dividing by n^2 = 9 gives 4/27
         assert exact_value(get_measure("gini_mean_diff"), REFERENCE) == F(4, 27)
 
+    def test_sorted_gini_equals_the_pairwise_sum(self):
+        def pairwise(ws):
+            n = len(ws)
+            return sum((abs(a - b) for a in ws for b in ws), start=F(0)) / (n * n)
+
+        rng = random.Random(1987)
+        counts = [
+            # lattice: one shared denominator
+            [500, 250, 125, 125],
+            [rng.randint(0, 40) for _ in range(30)],
+            # ties, zeros, a single slot, a vertex
+            [0, 1, 1, 0, 2],
+            [1, 1, 1],
+            [1],
+            [0, 0, 1],
+        ]
+        cases = [[F(c, sum(row)) for c in row] for row in counts]
+        # denominators whose lcm, 30, is none of them
+        cases.append([F(1, 6), F(1, 10), F(1, 15), F(1, 3), F(1, 3)])
+        # the sampler: thousand-bit denominators
+        cases += [list(random_weight_vector(rng, n).weights) for n in (2, 7, 40)]
+        gini = get_measure("gini_mean_diff")
+        for ws in cases:
+            assert exact_value(gini, WeightVector(tuple(ws))) == pairwise(ws)
+
     def test_half_l1_from_equal_share(self):
         assert exact_value(get_measure("hoover"), REFERENCE) == F(1, 6)
 
