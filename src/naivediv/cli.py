@@ -11,6 +11,7 @@ does not majorize the target.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -91,7 +92,10 @@ def _step_arg(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> _CliParser:
+    """The whole parser, built once per process: parsing keeps no state on
+    it (every option's default is SUPPRESS, None or immutable)."""
     common = _CliParser(add_help=False)
     common.add_argument(
         "--format",

@@ -14,6 +14,7 @@ such a chain explicitly, ``compose`` multiplies a chain out, and
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -29,7 +30,9 @@ from .errors import (
 )
 from .simplex import (
     WeightVector,
+    _counts_vector,
     _integer_view,
+    _sampler_counts,
     as_fraction,
     majorizes,
     random_weight_vector,
@@ -63,6 +66,13 @@ class SquareMatrix:
 
     def __hash__(self) -> int:
         return hash(self.rows)
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The entries as integers over the lcm of their denominators
+        (``_integer_view``), built once per matrix."""
+        scale, a = _integer_view(self.rows)
+        return scale, tuple(map(tuple, a))
 
     @property
     def order(self) -> int:
@@ -155,7 +165,7 @@ def _carries(
     stochastic is the pair (1, 1), fixing d is the pair (d, d).  The sums
     run on integer views, so no Fraction is built per entry.
     """
-    scale, a = _integer_view(m.rows)
+    scale, a = m._scaled
     if any(e < 0 for row in a for e in row) or any(sum(row) != scale for row in a):
         return False
     cols = list(zip(*a))
@@ -449,12 +459,14 @@ def random_strict_majorization_pair(
     moves a non-trivial amount of mass, so any strictly order-reversing
     measure separates the two by far more than float noise.
     """
-    gap = Fraction(1, 20 * n)
+    # sorted gaps of at least 1/(20n), tested on the draw's integer counts
     while True:
-        beta = random_weight_vector(rng, n)
-        ordered = sorted(beta.weights, reverse=True)
-        if all(a - b >= gap for a, b in zip(ordered, ordered[1:])):
+        counts = _sampler_counts(rng, n)
+        total = sum(counts)
+        ordered = sorted(counts, reverse=True)
+        if all(20 * n * (a - b) >= total for a, b in zip(ordered, ordered[1:])):
             break
+    beta = _counts_vector(counts)
     j, k = rng.sample(range(n), 2)
     lam = Fraction(rng.randint(10, 90), 100)
     alpha = apply_transform(beta, TTransform(j, k, lam))

@@ -28,7 +28,7 @@ from .errors import DomainError, NotMajorized, UnknownMeasure
 from .matrices import random_majorization_pair, random_strict_majorization_pair
 from .simplex import (
     WeightVector,
-    _integer_view,
+    _view,
     as_fraction,
     half_l1,
     majorizes,
@@ -54,7 +54,7 @@ class Direction(Enum):
 
 
 AmbientFn = Callable[[Sequence[float]], float]
-ExactFn = Callable[[Sequence[Fraction]], Fraction]
+ExactFn = Callable[[WeightVector | Sequence[Fraction]], Fraction]
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class MeasureSpec:
 
 
 # --------------------------------------------------------------------------
-# Formulas.  Ambient versions take raw floats; exact versions take Fractions.
+# Formulas.  Ambient versions take raw floats; exact versions take a weight
+# vector (and read its integer view) or a plain sequence of Fractions.
 # --------------------------------------------------------------------------
 
 
@@ -110,11 +111,11 @@ def _gini_ambient(xs: Sequence[float]) -> float:
     return total / (n * n)
 
 
-def _gini_exact(ws: Sequence[Fraction]) -> Fraction:
+def _gini_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
     # sum over all pairs |a - b| == 2 * sum_i (2i - n - 1) * x_(i), with x
     # ascending and i = 1..n; on one integer scale the sort compares ints.
     n = len(ws)
-    scale, (xs,) = _integer_view((ws,))
+    scale, xs = _view(ws)
     total = sum((2 * i - n - 1) * x for i, x in enumerate(sorted(xs), 1))
     return Fraction(2 * total, n * n * scale)
 
@@ -123,8 +124,9 @@ def _simpson_ambient(xs: Sequence[float]) -> float:
     return math.fsum(x * x for x in xs)
 
 
-def _simpson_exact(ws: Sequence[Fraction]) -> Fraction:
-    return sum((w * w for w in ws), start=Fraction(0))
+def _simpson_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
+    scale, xs = _view(ws)
+    return Fraction(sum(x * x for x in xs), scale * scale)
 
 
 def _hhi_ambient(xs: Sequence[float]) -> float:
@@ -134,12 +136,14 @@ def _hhi_ambient(xs: Sequence[float]) -> float:
     return (_simpson_ambient(xs) - 1.0 / n) / (1.0 - 1.0 / n)
 
 
-def _hhi_exact(ws: Sequence[Fraction]) -> Fraction:
+def _hhi_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
+    # (simpson - 1/n) / (1 - 1/n) with simpson = sum(x^2) / scale^2
     n = len(ws)
     if n < 2:
         raise DomainError("normalized concentration index needs n >= 2")
-    share = Fraction(1, n)
-    return (_simpson_exact(ws) - share) / (1 - share)
+    scale, xs = _view(ws)
+    square = scale * scale
+    return Fraction(n * sum(x * x for x in xs) - square, (n - 1) * square)
 
 
 def _hoover_ambient(xs: Sequence[float]) -> float:
@@ -147,7 +151,7 @@ def _hoover_ambient(xs: Sequence[float]) -> float:
     return math.fsum(abs(x - share) for x in xs) / 2
 
 
-def _hoover_exact(ws: Sequence[Fraction]) -> Fraction:
+def _hoover_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
     return half_l1(ws, (Fraction(1, len(ws)),) * len(ws))
 
 
@@ -246,7 +250,7 @@ def evaluate(m: MeasureSpec, w: WeightVector) -> float:
     the end, which makes them permutation-invariant to the last bit.
     """
     if m.exact is not None:
-        return float(m.exact(w.weights))
+        return float(m.exact(w))
     return m.ambient([float(x) for x in w.weights])
 
 
@@ -254,7 +258,7 @@ def exact_value(m: MeasureSpec, w: WeightVector) -> Fraction:
     """Exact rational value; only some measures have one."""
     if m.exact is None:
         raise DomainError(f"{m.id} has no exact rational form")
-    return m.exact(w.weights)
+    return m.exact(w)
 
 
 def index_value(m: MeasureSpec, w: WeightVector) -> float:
@@ -353,7 +357,7 @@ def _clearly_nonuniform(rng: random.Random, n: int) -> WeightVector:
     floor = Fraction(1, 10 * n)
     while True:
         w = random_weight_vector(rng, n)
-        if _hoover_exact(w.weights) >= floor:
+        if _hoover_exact(w) >= floor:
             return w
 
 

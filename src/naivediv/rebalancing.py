@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DimensionMismatch, NotInPolytope
 from .matrices import (
@@ -32,7 +33,6 @@ from .matrices import (
 from .simplex import (
     RationalLike,
     WeightVector,
-    _integer_view,
     as_fraction,
     half_l1,
     uniform_vector,
@@ -60,7 +60,7 @@ def turnover_vector(w: WeightVector) -> TurnoverVector:
 
 def turnover(w: WeightVector) -> Fraction:
     """Half the l1 distance from equal weights; the mass that must move."""
-    return half_l1(w.weights, (Fraction(1, w.n),) * w.n)
+    return half_l1(w, (Fraction(1, w.n),) * w.n)
 
 
 def polytope_membership(p: SquareMatrix, w: WeightVector) -> bool:
@@ -99,7 +99,7 @@ def frobenius_distance_squared(a: SquareMatrix, b: SquareMatrix) -> Fraction:
     )
 
 
-def _max_assignment(a: list[list[int]]) -> int:
+def _max_assignment(a: Sequence[Sequence[int]]) -> int:
     """The largest sum of ``a[i][perm[i]]`` over all permutations, exact.
 
     Kuhn's Hungarian method in its O(n^3) form with row potentials ``u`` and
@@ -158,7 +158,7 @@ def min_permutation_distance_squared(p: SquareMatrix) -> Fraction:
     every order, near-ties included.
     """
     n = p.order
-    scale, a = _integer_view(p.rows)
+    scale, a = p._scaled
     norm_sq = sum(x * x for row in a for x in row)
     best = _max_assignment(a)
     return Fraction(norm_sq - 2 * best * scale + n * scale * scale, scale * scale)
@@ -218,7 +218,7 @@ class RebalancePlan:
                 raise ValueError("intermediate does not match its step")
         if current.weights != self.target.weights:
             raise ValueError("steps do not reproduce the target")
-        if self.turnover != half_l1(self.source.weights, self.target.weights):
+        if self.turnover != half_l1(self.source, self.target):
             raise ValueError("turnover does not match source and target")
         deltas = tuple(delta for _, delta in self.trades)
         expected = tuple(
@@ -258,7 +258,7 @@ def rebalance_to(
         current = apply_transform(current, t)
         intermediates.append(current)
 
-    tau = half_l1(w.weights, target.weights)
+    tau = half_l1(w, target)
     labels = _default_labels(w)
     trades = tuple(
         (label, t_i - w_i)

@@ -1,7 +1,9 @@
 """Exact-arithmetic weight vectors and the majorization preorder.
 
 All weights are `fractions.Fraction` values, so every ordering decision
-(partial sums, Lorenz comparisons) is exact.  Floats appear only further
+(partial sums, Lorenz comparisons) is exact.  Each vector also keeps an
+integer view of itself, its numerators over the lcm of its denominators,
+so sums and comparisons run on Python ints.  Floats appear only further
 downstream, in measure evaluation and report formatting.
 
 A vector ``beta`` majorizes ``alpha`` when both have equal totals and the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -74,16 +76,25 @@ class WeightVector:
 
     weights: tuple[Fraction, ...]
     labels: tuple[str, ...] | None = None
+    # the integer view: weights == _nums / _scale entrywise
+    _scale: int = field(init=False, compare=False, repr=False)
+    _nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = tuple(as_fraction(w) for w in self.weights)
         if not weights:
             raise ValueError("weight vector must have at least one entry")
-        if any(w < 0 for w in weights):
+        scale, (nums,) = _integer_view((weights,))
+        if any(x < 0 for x in nums):
             raise ValueError("weights must be nonnegative")
-        if sum(weights) != 1:
-            raise ValueError(f"weights must sum to exactly 1, got {sum(weights)}")
+        total = sum(nums)
+        if total != scale:
+            raise ValueError(
+                f"weights must sum to exactly 1, got {Fraction(total, scale)}"
+            )
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_nums", tuple(nums))
         if self.labels is not None:
             labels = tuple(str(lab) for lab in self.labels)
             if len(labels) != len(weights):
@@ -163,10 +174,12 @@ def compare(alpha: WeightVector, beta: WeightVector) -> MajorizationRelation:
     # One walk over the gap between the descending partial sums: a positive
     # gap at some k means beta does not majorize alpha, a negative one that
     # alpha does not majorize beta.  Neither means the sorted vectors agree.
-    gap = Fraction(0)
+    # On the integer views, with scales a and b, the gap is kept times a * b.
+    a, b = alpha._scale, beta._scale
+    gap = 0
     alpha_above = beta_above = False
-    for a, b in zip(alpha.sorted_descending(), beta.sorted_descending()):
-        gap += a - b
+    for x, y in zip(sorted(alpha._nums, reverse=True), sorted(beta._nums, reverse=True)):
+        gap += x * b - y * a
         if gap > 0:
             alpha_above = True
         elif gap < 0:
@@ -210,14 +223,26 @@ def _curve_relation(p: _Points, q: _Points) -> MajorizationRelation:
     return _relation(any(a > b for a, b in pairs), any(b > a for a, b in pairs))
 
 
-def half_l1(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
+def _view(ws: WeightVector | Sequence[Fraction]) -> tuple[int, Sequence[int]]:
+    """``(scale, nums)`` with ``ws == nums / scale`` entrywise: a weight
+    vector's own integer view, or one built for a plain Fraction sequence."""
+    if isinstance(ws, WeightVector):
+        return ws._scale, ws._nums
+    scale, (nums,) = _integer_view((ws,))
+    return scale, nums
+
+
+def half_l1(
+    xs: WeightVector | Sequence[Fraction], ys: WeightVector | Sequence[Fraction]
+) -> Fraction:
     """Half the l1 distance between two weight sequences, exact.
 
     Between two allocations this is the mass that has to move to turn one
     into the other; measured from equal weights it is both the turnover and
     the Hoover index.
     """
-    return sum((abs(x - y) for x, y in zip(xs, ys)), start=Fraction(0)) / 2
+    (a, xs), (b, ys) = _view(xs), _view(ys)
+    return Fraction(sum(abs(x * b - y * a) for x, y in zip(xs, ys)), 2 * a * b)
 
 
 @dataclass(frozen=True)
@@ -284,6 +309,55 @@ def lorenz_dominates(a: LorenzCurve, b: LorenzCurve) -> MajorizationRelation:
     return _curve_relation(a.points, b.points)
 
 
+def _snap(x: float, cap: int) -> tuple[int, int]:
+    """``(p, q)`` in lowest terms with p / q == Fraction(x).limit_denominator(cap).
+
+    The same continued-fraction walk on Python ints: the last convergent
+    with denominator at most ``cap`` or the best semiconvergent past it,
+    whichever is closer to x, the convergent on a tie.
+    """
+    n, den = x.as_integer_ratio()
+    if den <= cap:
+        return n, den
+    d = den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (cap - q0) // q1
+    q = q0 + k * q1
+    # The two candidates lie on either side of x, 1 / (q1 * q) apart, and
+    # p1 / q1 is d / (q1 * den) from x: it is at least as close iff
+    # 2 * d * q <= den.
+    if 2 * d * q <= den:
+        return p1, q1
+    return p0 + k * p1, q
+
+
+def _sampler_counts(rng: random.Random, n: int) -> list[int]:
+    """n exponential draws, each snapped to a rational with denominator at
+    most the sampler cap (a draw that snaps to 0 becomes 1/cap), as
+    numerators over the lcm of their denominators."""
+    if n < 1:
+        raise ValueError("need at least one slot")
+    snapped = []
+    for _ in range(n):
+        p, q = _snap(rng.expovariate(1.0), _SAMPLER_DENOMINATOR_CAP)
+        snapped.append((p, q) if p > 0 else (1, _SAMPLER_DENOMINATOR_CAP))
+    scale = math.lcm(*(q for _, q in snapped))
+    return [p * (scale // q) for p, q in snapped]
+
+
+def _counts_vector(counts: Sequence[int]) -> WeightVector:
+    """The weight vector proportional to positive integer counts."""
+    total = sum(counts)
+    return WeightVector(tuple(Fraction(c, total) for c in counts))
+
+
 def random_weight_vector(rng: random.Random, n: int) -> WeightVector:
     """Draw a weight vector roughly uniformly over the simplex.
 
@@ -291,14 +365,4 @@ def random_weight_vector(rng: random.Random, n: int) -> WeightVector:
     coverage; each draw is snapped to a nearby rational before the exact
     normalization so the result satisfies the unit-sum invariant exactly.
     """
-    if n < 1:
-        raise ValueError("need at least one slot")
-    raw = []
-    for _ in range(n):
-        x = rng.expovariate(1.0)
-        snapped = Fraction(x).limit_denominator(_SAMPLER_DENOMINATOR_CAP)
-        if snapped <= 0:
-            snapped = Fraction(1, _SAMPLER_DENOMINATOR_CAP)
-        raw.append(snapped)
-    total = sum(raw)
-    return WeightVector(tuple(x / total for x in raw))
+    return _counts_vector(_sampler_counts(rng, n))

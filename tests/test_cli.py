@@ -472,3 +472,50 @@ class TestUsageAndDeterminism:
         )
         assert result.returncode == 0
         assert "aversion_squared  1/18" in result.stdout
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_process(self, reference_file, capsys, monkeypatch):
+        import naivediv.cli
+
+        builds = []
+
+        class CountingParser(naivediv.cli._CliParser):
+            def __init__(self, *args, **kwargs):
+                if kwargs.get("prog") == "naivediv":
+                    builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(naivediv.cli, "_CliParser", CountingParser)
+        naivediv.cli._build_parser.cache_clear()
+        try:
+            for argv in (
+                ["aversion", reference_file],
+                ["measures", reference_file, "--format", "json"],
+                ["compare", reference_file, reference_file],
+                ["measures", reference_file, "--bad-flag"],
+            ):
+                run_cli(argv, capsys)
+        finally:
+            naivediv.cli._build_parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_options_do_not_leak_into_the_next_call(
+        self, reference_file, uniform_file, tmp_path, capsys
+    ):
+        argv = ["compare", uniform_file, reference_file]
+        _, table, _ = run_cli(argv, capsys)
+        assert table.startswith("relation    FirstMoreEqual")
+        _, as_json, _ = run_cli(argv + ["--format", "json", "--precision", "3"], capsys)
+        assert json.loads(as_json)["relation"] == "FirstMoreEqual"
+        _, again, _ = run_cli(argv, capsys)
+        assert again == table
+
+        out = tmp_path / "out.txt"
+        run_cli(argv + ["--out", str(out)], capsys)
+        _, printed, _ = run_cli(argv, capsys)
+        assert printed == table
+
+        run_cli(["measures", reference_file, "--measure", "hhi"], capsys)
+        _, every, _ = run_cli(["measures", reference_file, "--format", "json"], capsys)
+        assert len(json.loads(every)) == 11

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import majorization_pairs, weight_vectors
 import naivediv.lp
+import naivediv.matrices
+import naivediv.measures
+import naivediv.rebalancing
+import naivediv.simplex
 from naivediv.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -32,10 +36,11 @@ from naivediv.matrices import (
     multivariate_feasible,
     random_doubly_stochastic,
     random_majorization_pair,
+    random_strict_majorization_pair,
     t_to_matrix,
     uniform_mixing_matrix,
 )
-from naivediv.rebalancing import polytope_membership
+from naivediv.rebalancing import polytope_membership, rebalance_to
 from naivediv.simplex import (
     WeightVector,
     majorizes,
@@ -515,3 +520,47 @@ def test_composition_of_doubly_stochastic_is_doubly_stochastic():
     a = random_doubly_stochastic(1, 4, k=2)
     b = random_doubly_stochastic(2, 4, k=3)
     assert is_doubly_stochastic(a @ b)
+
+
+def old_random_strict_majorization_pair(rng, n):
+    """The body random_strict_majorization_pair had before it tested the
+    gaps on integer counts, kept as its oracle."""
+    gap = F(1, 20 * n)
+    while True:
+        beta = random_weight_vector(rng, n)
+        ordered = sorted(beta.weights, reverse=True)
+        if all(a - b >= gap for a, b in zip(ordered, ordered[1:])):
+            break
+    j, k = rng.sample(range(n), 2)
+    lam = F(rng.randint(10, 90), 100)
+    alpha = apply_transform(beta, TTransform(j, k, lam))
+    return alpha, beta
+
+
+def test_random_strict_majorization_pair_matches_its_old_body():
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        for n in range(2, 9):
+            assert random_strict_majorization_pair(new, n) == (
+                old_random_strict_majorization_pair(old, n)
+            )
+            assert new.getstate() == old.getstate()
+
+
+def test_matrix_integer_view_is_built_once_per_rebalance(monkeypatch):
+    n = 9
+    w = random_weight_vector(random.Random(4), n)
+    real = naivediv.simplex._integer_view
+    matrix_views = []
+
+    def counting(rows):
+        if len(rows) == n:
+            matrix_views.append(rows)
+        return real(rows)
+
+    for module in (naivediv.simplex, naivediv.matrices, naivediv.rebalancing, naivediv.lp, naivediv.measures):
+        if hasattr(module, "_integer_view"):
+            monkeypatch.setattr(module, "_integer_view", counting)
+    plan = rebalance_to(w, uniform_vector(n))
+    assert plan.practical_turnover is not None
+    assert len(matrix_views) == 1

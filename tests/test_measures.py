@@ -341,3 +341,43 @@ class TestConcaveSumRank:
     def test_requires_majorization(self):
         with pytest.raises(NotMajorized):
             concave_sum_rank(weight_vector(["3/5", "3/10", "1/10"]), REFERENCE)
+
+
+def fraction_formulas(ws):
+    """Simpson, HHI, Hoover and Gini from their definitions, on Fractions."""
+    n = len(ws)
+    simpson = sum((w * w for w in ws), start=F(0))
+    share = F(1, n)
+    return {
+        "simpson": simpson,
+        "hhi": (simpson - share) / (1 - share) if n > 1 else None,
+        "hoover": sum((abs(w - share) for w in ws), start=F(0)) / 2,
+        "gini_mean_diff": sum(abs(a - b) for a in ws for b in ws) / (n * n),
+    }
+
+
+class TestExactFormulasOnIntegerViews:
+    def check(self, w):
+        expected = fraction_formulas(w.weights)
+        for mid, value in expected.items():
+            m = get_measure(mid)
+            if value is None:
+                with pytest.raises(DomainError):
+                    exact_value(m, w)
+                continue
+            assert exact_value(m, w) == value
+            assert m.exact(w) == value
+            assert m.exact(w.weights) == value  # a plain Fraction sequence
+            assert evaluate(m, w) == float(value)
+
+    @given(weight_vectors(min_n=1, max_n=7))
+    def test_match_the_fraction_definitions(self, w):
+        self.check(w)
+
+    def test_sampler_and_lattice_vectors(self):
+        rng = random.Random(12)
+        for n in (1, 2, 5, 30):
+            self.check(random_weight_vector(rng, n))
+        self.check(weight_vector(["1/6", "1/10", "1/15", "1/3", "1/3"]))
+        self.check(weight_vector(["1", "0", "0"]))
+        self.check(uniform_vector(6))

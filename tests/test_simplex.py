@@ -1,5 +1,7 @@
 """Weight vectors, majorization, and Lorenz curves."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,8 +15,10 @@ from naivediv.simplex import (
     LorenzCurve,
     MajorizationRelation,
     WeightVector,
+    _snap,
     compare,
     decreasing_rearrangement,
+    half_l1,
     lorenz_curve,
     lorenz_dominates,
     majorizes,
@@ -273,3 +277,207 @@ def test_random_weight_vector_is_deterministic_and_valid():
     assert a.weights == b.weights
     assert sum(a.weights) == 1
     assert all(x > 0 for x in a.weights)
+
+
+CAP = 10**6
+
+
+def old_random_weight_vector(rng, n):
+    """The Fraction sampler that the integer one replaced, kept as its oracle."""
+    raw = []
+    for _ in range(n):
+        snapped = F(rng.expovariate(1.0)).limit_denominator(CAP)
+        if snapped <= 0:
+            snapped = F(1, CAP)
+        raw.append(snapped)
+    total = sum(raw)
+    return WeightVector(tuple(x / total for x in raw))
+
+
+def limit_denominator(x, cap):
+    f = F(x).limit_denominator(cap)
+    return f.numerator, f.denominator
+
+
+class TestSnap:
+    def test_seeded_draws(self):
+        rng = random.Random(2024)
+        for _ in range(100_000):
+            x = rng.expovariate(1.0)
+            assert _snap(x, CAP) == limit_denominator(x, CAP)
+
+    def test_edge_cases(self):
+        cases = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, 0.375, 3 / 2**19, 2.0**-20]
+        cases += [1.0, 7.0, 1e7 + 0.3, 2.0**60 + 2**9, 123456789.987654, -2.75]
+        for x in cases:
+            assert _snap(x, CAP) == limit_denominator(x, CAP), x
+
+    def test_near_ties(self):
+        # x near the midpoint of two Farey neighbours of order cap: for x
+        # between them they are the two candidates limit_denominator weighs
+        rng = random.Random(7)
+        for cap in (1, 2, 3, 7, 100, 1000, CAP):
+            for _ in range(300):
+                k = rng.randint(1, cap)
+                h = rng.randrange(-5 * k, 5 * k)
+                while math.gcd(h, k) != 1:
+                    h += 1
+                k2 = cap if k == 1 else (-pow(h, -1, k)) % k
+                k2 += (cap - k2) // k * k
+                h2 = (1 + h * k2) // k  # h2 * k - h * k2 == 1: neighbours
+                mid = float(F(h, k) + F(h2, k2)) / 2
+                for x in (math.nextafter(mid, -math.inf), mid, math.nextafter(mid, math.inf)):
+                    assert _snap(x, cap) == limit_denominator(x, cap), (x, cap)
+
+
+class TestSamplerAgainstTheFractionSampler:
+    def test_same_vectors_and_stream(self):
+        # every n from 1 to 40 on 25 of the 200 seeds, five lengths a seed
+        for seed in range(200):
+            new, old = random.Random(seed), random.Random(seed)
+            for n in range(1 + seed % 8, 41, 8):
+                w = random_weight_vector(new, n)
+                assert w == old_random_weight_vector(old, n)
+                assert new.getstate() == old.getstate()
+
+    def test_draws_that_snap_to_zero(self):
+        class Scripted(random.Random):
+            def __init__(self, draws):
+                super().__init__(0)
+                self.draws = list(draws)
+
+            def expovariate(self, lambd=1.0):
+                return self.draws.pop(0)
+
+        draws = [0.0, 4e-7, 5e-324, 1.5, 2.0**-20]
+        w = random_weight_vector(Scripted(draws), len(draws))
+        assert w == old_random_weight_vector(Scripted(draws), len(draws))
+        assert w.weights[0] == w.weights[1] == w.weights[2] > 0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="need at least one slot"):
+            random_weight_vector(random.Random(0), 0)
+
+
+def compare_by_partial_sums(alpha, beta):
+    """compare from its definition, on Fraction partial sums."""
+    gaps, gap = [], F(0)
+    for a, b in zip(alpha.sorted_descending(), beta.sorted_descending()):
+        gap += a - b
+        gaps.append(gap)
+    beta_above = any(g < 0 for g in gaps)
+    alpha_above = any(g > 0 for g in gaps)
+    if beta_above and alpha_above:
+        return MajorizationRelation.INCOMPARABLE
+    if beta_above:
+        return MajorizationRelation.FIRST_MORE_EQUAL
+    if alpha_above:
+        return MajorizationRelation.SECOND_MORE_EQUAL
+    return MajorizationRelation.EQUAL_UP_TO_PERMUTATION
+
+
+@st.composite
+def tie_heavy_vectors(draw, n):
+    """Vectors over small counts, so zeros and ties are common, scaled by a
+    drawn factor that leaves the weights but not the raw counts alone."""
+    parts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    factor = draw(st.integers(1, 7))
+    total = sum(parts) * factor
+    return WeightVector(tuple(F(p * factor, total) for p in parts))
+
+
+class TestCompareOnIntegerViews:
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.one_of(weight_vectors(min_n=n, max_n=n), tie_heavy_vectors(n)),
+                st.one_of(weight_vectors(min_n=n, max_n=n), tie_heavy_vectors(n)),
+            )
+        )
+    )
+    def test_matches_the_partial_sum_definition(self, pair):
+        a, b = pair
+        shuffled = list(b.weights)
+        random.Random(len(shuffled)).shuffle(shuffled)
+        b_shuffled = WeightVector(tuple(shuffled))
+        for x, y in ((a, b), (b, a), (b, b_shuffled), (a, a)):
+            assert compare(x, y) is compare_by_partial_sums(x, y)
+
+    def test_scales_differ(self):
+        rng = random.Random(3)
+        lattice = [F(c, 60) for c in (0, 6, 10, 12, 12, 20)]
+        for _ in range(100):
+            a = random_weight_vector(rng, 6)
+            b = WeightVector(tuple(lattice))
+            assert a._scale != b._scale
+            assert compare(a, b) is compare_by_partial_sums(a, b)
+            assert compare(b, a) is compare_by_partial_sums(b, a)
+
+
+class TestIntegerView:
+    def test_view_matches_the_weights(self):
+        w = random_weight_vector(random.Random(9), 7)
+        assert all(x == F(num, w._scale) for x, num in zip(w.weights, w._nums))
+        assert sum(w._nums) == w._scale
+
+    def test_equal_weights_from_different_routes(self):
+        routes = [
+            weight_vector(["0.25", "0.5", "0.25"]),
+            weight_vector(["1/4", "2/4", "3/12"]),
+            WeightVector((F(1, 4), F(1, 2), F(1, 4))),
+            WeightVector(("1/4", "1/2", "1/4")),
+            WeightVector((F(2, 8), F(50, 100), F(1, 4))),
+        ]
+        first = routes[0]
+        for w in routes:
+            assert w == first
+            assert hash(w) == hash(first)
+            assert repr(w) == repr(first)
+        assert len(set(routes)) == 1
+
+    def test_replace_rebuilds_the_view(self):
+        w = weight_vector(["1/2", "1/3", "1/6"])
+        labeled = dataclasses.replace(w, labels=("a", "b", "c"))
+        assert labeled.weights == w.weights
+        assert labeled.labels == ("a", "b", "c")
+        assert (labeled._scale, labeled._nums) == (w._scale, w._nums)
+        moved = dataclasses.replace(w, weights=(F(1, 5), F(4, 5), F(0)))
+        assert (moved._scale, moved._nums) == (5, (1, 4, 0))
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            dataclasses.replace(w, weights=(F(1, 2), F(1, 2), F(1, 2)))
+
+    def test_large_coprime_denominators_that_sum_to_one(self):
+        p, q = 2**127 - 1, 2**89 - 1  # Mersenne primes
+        a, b = F(p // 3, p), F(q // 4, q)
+        w = WeightVector((a, b, 1 - a - b))
+        assert sum(w.weights) == 1
+        assert w._scale == p * q
+
+    def test_off_by_a_tiny_amount_is_rejected(self):
+        weights = (F(1, 3), F(1, 3), F(1, 3) + F(1, 10**40))
+        message = f"weights must sum to exactly 1, got {sum(weights)}"
+        with pytest.raises(ValueError) as excinfo:
+            WeightVector(weights)
+        assert str(excinfo.value) == message
+
+    def test_one_negative_entry_is_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            weight_vector(["3/4", "1/2", "-1/4"])
+        assert str(excinfo.value) == "weights must be nonnegative"
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.one_of(weight_vectors(min_n=n, max_n=n), tie_heavy_vectors(n)),
+            st.one_of(weight_vectors(min_n=n, max_n=n), tie_heavy_vectors(n)),
+        )
+    )
+)
+def test_half_l1_matches_its_definition(pair):
+    a, b = pair
+    expected = sum((abs(x - y) for x, y in zip(a.weights, b.weights)), start=F(0)) / 2
+    assert half_l1(a, b) == expected
+    assert half_l1(a.weights, b) == expected
+    assert half_l1(a, b.weights) == expected
+    assert half_l1(a.weights, b.weights) == expected
