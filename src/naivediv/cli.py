@@ -325,7 +325,7 @@ def _cmd_lorenz(args, config: CliConfig) -> int:
     if args.points > 0:
         grid |= {Fraction(i, args.points) for i in range(args.points + 1)}
     grid = sorted(grid)
-    rows = list(zip(grid, _curve_values(curve.points, grid)))
+    rows = list(zip(grid, _curve_values(curve._view, grid)))
     if config.format == "json":
         payload = [{"t": str(t), "value": str(v)} for t, v in rows]
         _emit(_render_json({"points": payload}), config)

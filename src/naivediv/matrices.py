@@ -33,6 +33,7 @@ from .simplex import (
     _counts_vector,
     _integer_view,
     _sampler_counts,
+    _view,
     as_fraction,
     majorizes,
     random_weight_vector,
@@ -156,22 +157,23 @@ class TTransform:
         object.__setattr__(self, "lam", lam)
 
 
-def _carries(
-    m: SquareMatrix, pairs: Iterable[tuple[Sequence[Fraction], Sequence[Fraction]]]
-) -> bool:
+#: A vector as ``(scale, nums)``, its entries nums / scale.
+_Ints = tuple[int, Sequence[int]]
+
+
+def _carries(m: SquareMatrix, pairs: Iterable[tuple[_Ints, _Ints]]) -> bool:
     """Exact check: m >= 0, every row sums to 1, and u @ m == v for each pair.
 
     Every membership question about mixing matrices has this form: doubly
-    stochastic is the pair (1, 1), fixing d is the pair (d, d).  The sums
-    run on integer views, so no Fraction is built per entry.
+    stochastic is the pair (1, 1), fixing d is the pair (d, d).  Vectors
+    come as integer views and the sums run on ints, so no Fraction is
+    built per entry.
     """
     scale, a = m._scaled
     if any(e < 0 for row in a for e in row) or any(sum(row) != scale for row in a):
         return False
     cols = list(zip(*a))
-    for u, v in pairs:
-        u_scale, (us,) = _integer_view((u,))
-        v_scale, (vs,) = _integer_view((v,))
+    for (u_scale, us), (v_scale, vs) in pairs:
         # u @ m == v  <=>  (us @ a) * v_scale == vs * u_scale * scale
         unit = u_scale * scale
         for col, x in zip(cols, vs):
@@ -182,7 +184,7 @@ def _carries(
 
 def is_doubly_stochastic(m: SquareMatrix) -> bool:
     """Exact check: entries >= 0, every row and column sums to 1."""
-    ones = (1,) * m.order
+    ones = (1, (1,) * m.order)
     return _carries(m, [(ones, ones)])
 
 
@@ -201,7 +203,7 @@ def is_d_stochastic(m: SquareMatrix, d: WeightVector) -> bool:
     """
     if d.n != m.order:
         raise DimensionMismatch(f"matrix order {m.order} vs vector length {d.n}")
-    return _carries(m, [(d.weights, d.weights)])
+    return _carries(m, [(_view(d), _view(d))])
 
 
 def apply(w: WeightVector, m: SquareMatrix) -> WeightVector:

@@ -28,6 +28,7 @@ from .errors import DomainError, NotMajorized, UnknownMeasure
 from .matrices import random_majorization_pair, random_strict_majorization_pair
 from .simplex import (
     WeightVector,
+    _sum_of_squares,
     _view,
     as_fraction,
     half_l1,
@@ -125,8 +126,7 @@ def _simpson_ambient(xs: Sequence[float]) -> float:
 
 
 def _simpson_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
-    scale, xs = _view(ws)
-    return Fraction(sum(x * x for x in xs), scale * scale)
+    return Fraction(*_sum_of_squares(ws))
 
 
 def _hhi_ambient(xs: Sequence[float]) -> float:
@@ -137,13 +137,12 @@ def _hhi_ambient(xs: Sequence[float]) -> float:
 
 
 def _hhi_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
-    # (simpson - 1/n) / (1 - 1/n) with simpson = sum(x^2) / scale^2
+    # (simpson - 1/n) / (1 - 1/n) with simpson = squares / square_scale
     n = len(ws)
     if n < 2:
         raise DomainError("normalized concentration index needs n >= 2")
-    scale, xs = _view(ws)
-    square = scale * scale
-    return Fraction(n * sum(x * x for x in xs) - square, (n - 1) * square)
+    squares, square_scale = _sum_of_squares(ws)
+    return Fraction(n * squares - square_scale, (n - 1) * square_scale)
 
 
 def _hoover_ambient(xs: Sequence[float]) -> float:
@@ -152,6 +151,7 @@ def _hoover_ambient(xs: Sequence[float]) -> float:
 
 
 def _hoover_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
+    # the mass that moves to reach equal weights: rebalancing.turnover
     return half_l1(ws, (Fraction(1, len(ws)),) * len(ws))
 
 
@@ -247,11 +247,14 @@ def evaluate(m: MeasureSpec, w: WeightVector) -> float:
     """Value of the measure at an allocation.
 
     Measures with a rational form are computed exactly and converted at
-    the end, which makes them permutation-invariant to the last bit.
+    the end, which makes them permutation-invariant to the last bit.  The
+    others get each weight as num / scale from the integer view: int true
+    division rounds correctly, so these are the floats of the weights.
     """
     if m.exact is not None:
         return float(m.exact(w))
-    return m.ambient([float(x) for x in w.weights])
+    scale = w._scale
+    return m.ambient([x / scale for x in w._nums])
 
 
 def exact_value(m: MeasureSpec, w: WeightVector) -> Fraction:

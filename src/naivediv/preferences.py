@@ -18,7 +18,9 @@ from .errors import LengthMismatch
 from .simplex import (
     MajorizationRelation,
     WeightVector,
-    _curve_relation,
+    _curve_order,
+    _relative_curve,
+    _sum_of_squares,
     compare,
     uniform_vector,
 )
@@ -69,20 +71,6 @@ def more_is_better_chain(n: int) -> list[WeightVector]:
     return chain
 
 
-def _relative_curve(
-    w: WeightVector, d: WeightVector
-) -> list[tuple[Fraction, Fraction]]:
-    """The concave curve through the cumulative sums of (d_i, w_i), slots in
-    decreasing order of w_i / d_i; slots with d_i = 0 form a jump at x = 0."""
-    jump = sum((wi for wi, di in zip(w, d) if di == 0), Fraction(0))
-    points = [(Fraction(0), jump)]
-    slots = sorted(((wi / di, di, wi) for wi, di in zip(w, d) if di), reverse=True)
-    for _, di, wi in slots:
-        x, y = points[-1]
-        points.append((x + di, y + wi))
-    return points
-
-
 def relative_naive_prefer(
     alpha: WeightVector, beta: WeightVector, d: WeightVector
 ) -> PreferenceOutcome:
@@ -101,7 +89,7 @@ def relative_naive_prefer(
         raise LengthMismatch("all three vectors must share one length")
     # the lower relative curve is the smoother allocation: beta's goes first
     return _FROM_RELATION[
-        _curve_relation(_relative_curve(beta, d), _relative_curve(alpha, d))
+        _curve_order(_relative_curve(beta, d), _relative_curve(alpha, d))
     ]
 
 
@@ -111,9 +99,10 @@ def aversion_squared(d: WeightVector) -> Fraction:
     Zero exactly when d is uniform; grows as the benchmark concentrates, so
     it scores how much inequality the benchmark itself tolerates.
     """
+    # sum of (w_i - 1/n)^2 == sum of w_i^2 - 1/n
     n = d.n
-    share = Fraction(1, n)
-    return sum(((w - share) ** 2 for w in d.weights), start=Fraction(0))
+    squares, square_scale = _sum_of_squares(d)
+    return Fraction(n * squares - square_scale, n * square_scale)
 
 
 def inequality_aversion_coefficient(d: WeightVector) -> float:

@@ -30,9 +30,11 @@ from .matrices import (
     muirhead_decompose,
     uniform_mixing_matrix,
 )
+from .measures import _hoover_exact
 from .simplex import (
     RationalLike,
     WeightVector,
+    _view,
     as_fraction,
     half_l1,
     uniform_vector,
@@ -59,8 +61,11 @@ def turnover_vector(w: WeightVector) -> TurnoverVector:
 
 
 def turnover(w: WeightVector) -> Fraction:
-    """Half the l1 distance from equal weights; the mass that must move."""
-    return half_l1(w, (Fraction(1, w.n),) * w.n)
+    """Half the l1 distance from equal weights; the mass that must move.
+
+    This is the Hoover index, and computed as that measure's exact form.
+    """
+    return _hoover_exact(w)
 
 
 def polytope_membership(p: SquareMatrix, w: WeightVector) -> bool:
@@ -68,7 +73,8 @@ def polytope_membership(p: SquareMatrix, w: WeightVector) -> bool:
     if p.order != w.n:
         raise DimensionMismatch(f"matrix order {p.order} vs vector length {w.n}")
     ones = (1,) * w.n
-    return _carries(p, [(ones, ones), (w.weights, (Fraction(1, w.n),) * w.n)])
+    # as (scale, nums): the all-ones pair, then w and 1/n in every slot
+    return _carries(p, [((1, ones), (1, ones)), (_view(w), (w.n, ones))])
 
 
 def example_family(u: RationalLike, v: RationalLike) -> DoublyStochasticMatrix | None:

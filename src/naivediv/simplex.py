@@ -17,18 +17,22 @@ is what a naive diversifier prefers.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, pairwise, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import LengthMismatch
 
 RationalLike = Union[Fraction, int, str]
-#: A piecewise-linear curve: its breakpoints, abscissas strictly increasing.
-_Points = Sequence[tuple[Fraction, Fraction]]
+#: A piecewise-linear curve in integer form ``(x_scale, xs, y_scale, ys)``:
+#: breakpoints (xs[i] / x_scale, ys[i] / y_scale), abscissas strictly
+#: increasing from 0 to 1.
+_Curve = tuple[int, Sequence[int], int, Sequence[int]]
 
 _SAMPLER_DENOMINATOR_CAP = 10**6
 
@@ -171,23 +175,9 @@ def compare(alpha: WeightVector, beta: WeightVector) -> MajorizationRelation:
     one another.
     """
     _check_same_length(alpha, beta)
-    # One walk over the gap between the descending partial sums: a positive
-    # gap at some k means beta does not majorize alpha, a negative one that
-    # alpha does not majorize beta.  Neither means the sorted vectors agree.
-    # On the integer views, with scales a and b, the gap is kept times a * b.
-    a, b = alpha._scale, beta._scale
-    gap = 0
-    alpha_above = beta_above = False
-    for x, y in zip(sorted(alpha._nums, reverse=True), sorted(beta._nums, reverse=True)):
-        gap += x * b - y * a
-        if gap > 0:
-            alpha_above = True
-        elif gap < 0:
-            beta_above = True
-        if alpha_above and beta_above:
-            break
-    # beta's partial sums above alpha's is alpha's Lorenz curve above beta's
-    return _relation(beta_above, alpha_above)
+    # beta's descending partial sums above alpha's is alpha's Lorenz curve
+    # above beta's, since both totals are 1
+    return _curve_order(_lorenz_ints(alpha), _lorenz_ints(beta))
 
 
 def _relation(first_higher: bool, second_higher: bool) -> MajorizationRelation:
@@ -202,25 +192,98 @@ def _relation(first_higher: bool, second_higher: bool) -> MajorizationRelation:
     return MajorizationRelation.EQUAL_UP_TO_PERMUTATION
 
 
-def _curve_values(points: _Points, grid: Iterable[Fraction]) -> Iterator[Fraction]:
-    """Exact values at ascending abscissas ``grid`` of the piecewise-linear
-    curve through ``points``, in one pass over its segments."""
-    segment = 0
-    last = len(points) - 2
-    for t in grid:
-        while segment < last and points[segment + 1][0] < t:
-            segment += 1
-        (x0, y0), (x1, y1) = points[segment], points[segment + 1]
-        yield y1 if t == x1 else y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+def _lorenz_ints(w: WeightVector) -> _Curve:
+    """The Lorenz curve of ``w`` in integer form: the ascending cumulative
+    sums of its numerators at abscissas k / n."""
+    return w.n, range(w.n + 1), w._scale, list(accumulate(sorted(w._nums), initial=0))
 
 
-def _curve_relation(p: _Points, q: _Points) -> MajorizationRelation:
+def _relative_curve(w: WeightVector, d: WeightVector) -> _Curve:
+    """The concave curve through the cumulative sums of (d_i, w_i), slots in
+    decreasing order of w_i / d_i; slots with d_i = 0 form a jump at x = 0."""
+    pairs = list(zip(w._nums, d._nums))
+    jump = sum(x for x, y in pairs if y == 0)
+    # on the numerators the scales cancel: slot (x, y) goes before (u, v)
+    # when x * v > u * y
+    slots = sorted(
+        ((x, y) for x, y in pairs if y),
+        key=functools.cmp_to_key(lambda s, t: t[0] * s[1] - s[0] * t[1]),
+    )
+    xs = list(accumulate((y for _, y in slots), initial=0))
+    ys = list(accumulate((x for x, _ in slots), initial=jump))
+    return d._scale, xs, w._scale, ys
+
+
+def _curve_order(p: _Curve, q: _Curve) -> MajorizationRelation:
     """FIRST_MORE_EQUAL when curve ``p`` lies weakly above curve ``q`` and
-    strictly above it somewhere, and so on.  Both are linear between the
-    union of their breakpoints, so comparing there is sufficient."""
-    grid = sorted({x for x, _ in p} | {x for x, _ in q})
-    pairs = list(zip(_curve_values(p, grid), _curve_values(q, grid)))
-    return _relation(any(a > b for a, b in pairs), any(b > a for a, b in pairs))
+    strictly above it somewhere, and so on.
+
+    Both curves are linear between the union of their breakpoints, so
+    comparing there is sufficient.  Curves on the same abscissas are
+    compared ordinate by ordinate from x = 1 down, through the largest
+    weights first, where two allocations that cross mostly show it early;
+    otherwise the breakpoints are merged.  The walk stops once each curve
+    has been seen above the other.
+    """
+    if p[:2] == q[:2]:
+        a, b = p[2], q[2]
+        pairs = zip(reversed(p[3]), reversed(q[3]))
+        gaps: Iterable[int] = (y * b - z * a for y, z in pairs)
+    else:
+        gaps = _merged_gaps(p, q)
+    p_above = q_above = False
+    for gap in gaps:
+        if gap > 0:
+            p_above = True
+        elif gap < 0:
+            q_above = True
+        if p_above and q_above:
+            break
+    return _relation(p_above, q_above)
+
+
+def _merged_gaps(p: _Curve, q: _Curve) -> Iterator[int]:
+    """At every breakpoint of either curve, in ascending order, an integer
+    with the sign of p - q there; abscissas are ordered by cross products."""
+    p_xscale, p_xs, p_yscale, p_ys = p
+    q_xscale, q_xs, q_yscale, q_ys = q
+    i = j = 0
+    while i < len(p_xs) and j < len(q_xs):
+        order = p_xs[i] * q_xscale - q_xs[j] * p_xscale
+        if order == 0:
+            yield p_ys[i] * q_yscale - q_ys[j] * p_yscale
+            i += 1
+            j += 1
+        elif order < 0:
+            num, den = _chord(q, j, p_xs[i], p_xscale)
+            yield p_ys[i] * den - num * p_yscale
+            i += 1
+        else:
+            num, den = _chord(p, i, q_xs[j], q_xscale)
+            yield num * q_yscale - q_ys[j] * den
+            j += 1
+
+
+def _chord(curve: _Curve, k: int, x: int, xa: int) -> tuple[int, int]:
+    """``(num, den)``, den > 0, with num / den the curve's value at x / xa,
+    an abscissa on its segment from breakpoint k - 1 to k."""
+    x_scale, xs, y_scale, ys = curve
+    x0, y0 = xs[k - 1], ys[k - 1]
+    dx, dy = xs[k] - x0, ys[k] - y0
+    # (y0 + dy * (x / xa * x_scale - x0) / dx) / y_scale
+    return y0 * xa * dx + dy * (x * x_scale - x0 * xa), y_scale * xa * dx
+
+
+def _curve_values(curve: _Curve, grid: Iterable[Fraction]) -> Iterator[Fraction]:
+    """Exact values at ascending abscissas ``grid`` in [0, 1] of an integer
+    curve, in one pass over its segments."""
+    x_scale, xs = curve[:2]
+    k = 1
+    for t in grid:
+        x, xa = t.numerator, t.denominator
+        while k < len(xs) - 1 and xs[k] * xa < x * x_scale:
+            k += 1
+        yield Fraction(*_chord(curve, k, x, xa))
 
 
 def _view(ws: WeightVector | Sequence[Fraction]) -> tuple[int, Sequence[int]]:
@@ -230,6 +293,13 @@ def _view(ws: WeightVector | Sequence[Fraction]) -> tuple[int, Sequence[int]]:
         return ws._scale, ws._nums
     scale, (nums,) = _integer_view((ws,))
     return scale, nums
+
+
+def _sum_of_squares(ws: WeightVector | Sequence[Fraction]) -> tuple[int, int]:
+    """``(num, den)`` with the sum of the squared weights equal to num / den:
+    the squared numerators over the squared scale."""
+    scale, xs = _view(ws)
+    return sum(x * x for x in xs), scale * scale
 
 
 def half_l1(
@@ -258,32 +328,38 @@ class LorenzCurve:
 
     def __post_init__(self) -> None:
         pts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.points)
-        if len(pts) < 2 or pts[0] != (Fraction(0), Fraction(0)) or pts[-1] != (
-            Fraction(1),
-            Fraction(1),
-        ):
-            raise ValueError("curve must run from (0,0) to (1,1)")
-        xs = [p[0] for p in pts]
-        if any(x1 >= x2 for x1, x2 in zip(xs, xs[1:])):
-            raise ValueError("abscissas must strictly increase")
-        if any(y1 > y2 for (_, y1), (_, y2) in zip(pts, pts[1:])):
-            raise ValueError("ordinates must not decrease")
-        if any(y > x for x, y in pts):
-            raise ValueError("curve must stay weakly below the diagonal")
-        slopes = [
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:])
-        ]
-        if any(s0 > s1 for s0, s1 in zip(slopes, slopes[1:])):
-            raise ValueError("curve must be convex (slopes non-decreasing)")
         object.__setattr__(self, "points", pts)
+        if len(pts) < 2:
+            raise ValueError("curve must run from (0,0) to (1,1)")
+        x_scale, xs, y_scale, ys = self._view
+        if (xs[0], ys[0], xs[-1], ys[-1]) != (0, 0, x_scale, y_scale):
+            raise ValueError("curve must run from (0,0) to (1,1)")
+        if any(x0 >= x1 for x0, x1 in pairwise(xs)):
+            raise ValueError("abscissas must strictly increase")
+        if any(y0 > y1 for y0, y1 in pairwise(ys)):
+            raise ValueError("ordinates must not decrease")
+        if any(y * x_scale > x * y_scale for x, y in zip(xs, ys)):
+            raise ValueError("curve must stay weakly below the diagonal")
+        steps = [
+            (x1 - x0, y1 - y0) for (x0, x1), (y0, y1) in zip(pairwise(xs), pairwise(ys))
+        ]
+        # slope i above slope i + 1, every run positive
+        if any(dy0 * dx1 > dy1 * dx0 for (dx0, dy0), (dx1, dy1) in pairwise(steps)):
+            raise ValueError("curve must be convex (slopes non-decreasing)")
+
+    @functools.cached_property
+    def _view(self) -> _Curve:
+        """The curve in integer form, both coordinates over the lcm of all
+        the denominators (``_integer_view``); built once per curve."""
+        scale, (xs, ys) = _integer_view(tuple(zip(*self.points)))
+        return scale, xs, scale, ys
 
     def value_at(self, t: RationalLike) -> Fraction:
         """Exact linear interpolation of the curve at abscissa t in [0, 1]."""
         t = as_fraction(t)
         if t < 0 or t > 1:
             raise ValueError("abscissa must lie in [0, 1]")
-        return next(_curve_values(self.points, (t,)))
+        return next(_curve_values(self._view, (t,)))
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(p[0] for p in self.points)
@@ -291,14 +367,15 @@ class LorenzCurve:
 
 def lorenz_curve(w: WeightVector) -> LorenzCurve:
     """Cumulative shares of the ascending rearrangement of ``w``."""
-    ascending = sorted(w.weights)
-    n = w.n
-    points = [(Fraction(0), Fraction(0))]
-    running = Fraction(0)
-    for k, value in enumerate(ascending, start=1):
-        running += value
-        points.append((Fraction(k, n), running))
-    return LorenzCurve(tuple(points))
+    view = n, xs, scale, ys = _lorenz_ints(w)
+    curve = object.__new__(LorenzCurve)
+    # the integer view is cached before __init__, so its checks read the
+    # sums already made instead of rebuilding them from the Fractions
+    curve.__dict__["_view"] = view
+    curve.__init__(
+        tuple(zip(map(Fraction, xs, repeat(n)), map(Fraction, ys, repeat(scale))))
+    )
+    return curve
 
 
 def lorenz_dominates(a: LorenzCurve, b: LorenzCurve) -> MajorizationRelation:
@@ -306,7 +383,7 @@ def lorenz_dominates(a: LorenzCurve, b: LorenzCurve) -> MajorizationRelation:
 
     A higher curve belongs to the more equal allocation.
     """
-    return _curve_relation(a.points, b.points)
+    return _curve_order(a._view, b._view)
 
 
 def _snap(x: float, cap: int) -> tuple[int, int]:

@@ -389,6 +389,34 @@ class TestMultiCheck:
         assert out == (golden / "multi_check_expected.json").read_text()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestCurveOutputIsPinned:
+    """Curve and aversion output, byte for byte: exact values at every
+    breakpoint and grid point, verdicts across lengths, and a distance over
+    denominators of 2,483 bits."""
+
+    @pytest.mark.parametrize(
+        ("expected", "argv"),
+        [
+            ("lorenz_points7.json", ["lorenz", "lorenz_weights.json", "--points", "7", "--format", "json"]),
+            ("lorenz_points7.txt", ["lorenz", "lorenz_weights.json", "--points", "7"]),
+            (
+                "compare_lorenz.json",
+                ["compare", "--lorenz", "lorenz_first.json", "lorenz_second.json", "--format", "json"],
+            ),
+            ("compare_lorenz_flat.txt", ["compare", "--lorenz", "lorenz_flat.json", "lorenz_lumpy.json"]),
+            ("aversion.txt", ["aversion", "aversion_weights.json"]),
+        ],
+    )
+    def test_stdout(self, expected, argv, capsys):
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / expected).read_text()
+
+
 class TestMalformedFiles:
     """A field of the wrong JSON type exits 1 naming the file and the field;
     it is never read as some other allocation or left as a traceback."""

@@ -564,3 +564,31 @@ def test_matrix_integer_view_is_built_once_per_rebalance(monkeypatch):
     plan = rebalance_to(w, uniform_vector(n))
     assert plan.practical_turnover is not None
     assert len(matrix_views) == 1
+
+
+def test_membership_checks_build_no_view_for_their_vectors(monkeypatch):
+    # the pair vectors come as the integer views they already hold, so once
+    # the matrix's own view is cached no lcm is built at all
+    rng = random.Random(8)
+    w = random_weight_vector(rng, 6)
+    p = hlp_witness(w, uniform_vector(6))
+    d = random_weight_vector(rng, 6)
+    fixing = SquareMatrix.identity(6)
+    for m in (p, fixing):
+        m._scaled
+    built = []
+    real = naivediv.simplex._integer_view
+
+    def counting(rows):
+        built.append(rows)
+        return real(rows)
+
+    for module in (naivediv.simplex, naivediv.matrices, naivediv.rebalancing):
+        if hasattr(module, "_integer_view"):
+            monkeypatch.setattr(module, "_integer_view", counting)
+    assert is_doubly_stochastic(p)
+    assert polytope_membership(p, w)
+    assert not polytope_membership(p, d)
+    assert is_d_stochastic(fixing, d)
+    assert not is_d_stochastic(p, d)
+    assert built == []

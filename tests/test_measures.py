@@ -13,6 +13,7 @@ from naivediv.measures import (
     EQUALITY_TOL,
     LOG_CONTROL,
     Direction,
+    MeasureSpec,
     ambient_utility,
     axiom_suite,
     concave_sum_rank,
@@ -24,6 +25,8 @@ from naivediv.measures import (
     schur_ostrowski_check,
     schur_ostrowski_report,
 )
+from naivediv.preferences import aversion_squared
+from naivediv.rebalancing import turnover
 from naivediv.simplex import (
     WeightVector,
     random_weight_vector,
@@ -381,3 +384,67 @@ class TestExactFormulasOnIntegerViews:
         self.check(weight_vector(["1/6", "1/10", "1/15", "1/3", "1/3"]))
         self.check(weight_vector(["1", "0", "0"]))
         self.check(uniform_vector(6))
+
+
+def distance_vectors():
+    """Sampler, lattice, tied and zero-slot vectors."""
+    rng = random.Random(31)
+    vectors = [random_weight_vector(rng, n) for n in (1, 2, 5, 30, 64)]
+    vectors += [WeightVector(tuple(F(c, 10**6 * 9) for c in counts)) for counts in (
+        (10**6 * 9 - 8, 1, 1, 1, 1, 1, 1, 1, 1),
+        (10**6,) * 9,
+    )]
+    vectors += [
+        weight_vector(["1/4", "1/4", "1/4", "1/8", "1/8"]),
+        weight_vector(["1", "0", "0", "0"]),
+        weight_vector(["0", "1/3", "0", "2/3"]),
+        uniform_vector(7),
+    ]
+    return vectors
+
+
+class TestDistancesFromEqualWeights:
+    """The sum-of-squares and half-L1 forms against their Fraction
+    definitions: aversion is the squared distance to 1/n, turnover and
+    Hoover half the l1 distance."""
+
+    def test_against_the_fraction_definitions(self):
+        for w in distance_vectors():
+            share = F(1, w.n)
+            squared = sum(((x - share) ** 2 for x in w.weights), start=F(0))
+            moved = sum((abs(x - share) for x in w.weights), start=F(0)) / 2
+            assert aversion_squared(w) == squared
+            assert turnover(w) == moved
+            assert exact_value(get_measure("hoover"), w) == moved
+
+    @given(weight_vectors(min_n=1, max_n=7))
+    def test_hypothesis_vectors(self, w):
+        share = F(1, w.n)
+        assert aversion_squared(w) == sum(((x - share) ** 2 for x in w.weights), start=F(0))
+        assert turnover(w) == exact_value(get_measure("hoover"), w)
+
+
+def floats_seen(w):
+    """The floats ``evaluate`` hands a float-only measure."""
+    seen = []
+    probe = MeasureSpec("probe", Direction.INDEX, True, lambda xs: seen.append(list(xs)) or 0.0)
+    evaluate(probe, w)
+    (xs,) = seen
+    return xs
+
+
+class TestFloatMeasuresReadTheIntegerView:
+    def test_same_floats_as_the_fractions(self):
+        tiny = F(1, 2**1100)  # below the smallest subnormal, 2**-1074
+        half_tiny = F(3, 2**1076)  # rounds up to the smallest subnormal
+        vectors = distance_vectors() + [
+            WeightVector((tiny, half_tiny, F(0), 1 - tiny - half_tiny)),
+            WeightVector((F(1, 3) - tiny, F(1, 3), F(1, 3) + tiny)),
+        ]
+        rng = random.Random(5)
+        big = [F(rng.randint(1, 10**14), rng.randint(1, 10**14)) for _ in range(40)]
+        vectors.append(WeightVector(tuple(x / sum(big) for x in big)))
+        assert max(x.denominator.bit_length() for x in vectors[-1].weights) > 1000
+        for w in vectors:
+            assert floats_seen(w) == [float(x) for x in w.weights]
+        assert floats_seen(vectors[-3])[:3] == [0.0, 5e-324, 0.0]
