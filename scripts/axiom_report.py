@@ -49,11 +49,14 @@ def main(argv=None) -> int:
     if args.include_control:
         measures.append(LOG_CONTROL)
 
-    reports = []
-    for measure in measures:
-        reports.append(
+    try:
+        reports = [
             axiom_suite(measure, seed=args.seed, samples=args.samples, n=args.n)
-        )
+            for measure in measures
+        ]
+    except ValueError as exc:
+        print(f"axiom_report: {exc}", file=sys.stderr)
+        return 1
 
     width = max(len(m.id) for m in measures)
     header = f"{'measure':<{width}}  " + "  ".join(f"{a:>17}" for a in AXIOMS)

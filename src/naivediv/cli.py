@@ -321,11 +321,11 @@ def _cmd_rebalance(args, config: CliConfig) -> int:
 def _cmd_lorenz(args, config: CliConfig) -> int:
     w = fileio.load_weights(args.weights)
     curve = lorenz_curve(w)
-    grid = set(curve.breakpoints())
-    if args.points > 0:
-        grid |= {Fraction(i, args.points) for i in range(args.points + 1)}
-    grid = sorted(grid)
-    rows = list(zip(grid, _curve_values(curve._view, grid)))
+    own = dict(curve.points)
+    grid = {Fraction(i, args.points) for i in range(args.points + 1)} if args.points else set()
+    # the curve's own points, and its values at the grid abscissas between them
+    between = sorted(grid - own.keys())
+    rows = sorted([*own.items(), *zip(between, _curve_values(curve._view, between))])
     if config.format == "json":
         payload = [{"t": str(t), "value": str(v)} for t, v in rows]
         _emit(_render_json({"points": payload}), config)

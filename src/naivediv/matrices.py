@@ -30,7 +30,7 @@ from .errors import (
 )
 from .simplex import (
     WeightVector,
-    _counts_vector,
+    _from_ints,
     _integer_view,
     _sampler_counts,
     _view,
@@ -252,17 +252,29 @@ def compose(steps: Iterable[TTransform], n: int) -> DoublyStochasticMatrix:
     return DoublyStochasticMatrix(tuple(zip(*cols)))
 
 
+def _t_step(scale: int, nums: Sequence[int], j: int, k: int, p: int, q: int) -> _Ints:
+    """The transform (j, k, p / q) applied to the vector nums / scale, on ints.
+
+    Slot j becomes (p * a + (q - p) * b) / (scale * q) with a, b the
+    numerators of slots j and k, and the other way round for slot k; every
+    other numerator is carried over to the scale scale * q.
+    """
+    out = [x * q for x in nums]
+    a, b = nums[j], nums[k]
+    out[j] = p * a + (q - p) * b
+    out[k] = p * b + (q - p) * a
+    return scale * q, out
+
+
 def apply_transform(w: WeightVector, t: TTransform) -> WeightVector:
     """Apply a single transform without building the full matrix."""
     if t.j >= w.n or t.k >= w.n:
         raise IndexOutOfRange(
             f"transform touches coordinate {max(t.j, t.k)} of a length-{w.n} vector"
         )
-    values = list(w.weights)
-    a, b = values[t.j], values[t.k]
-    values[t.j] = t.lam * a + (1 - t.lam) * b
-    values[t.k] = t.lam * b + (1 - t.lam) * a
-    return WeightVector(tuple(values), w.labels)
+    lam = t.lam
+    scale, nums = _t_step(w._scale, w._nums, t.j, t.k, lam.numerator, lam.denominator)
+    return _from_ints(nums, scale, w.labels)
 
 
 def muirhead_decompose(
@@ -444,12 +456,12 @@ def random_majorization_pair(
     """
     beta = random_weight_vector(rng, n)
     count = transforms if transforms is not None else rng.randint(1, max(1, n - 1))
-    alpha = beta
+    # the chain runs on beta's integer view; alpha is built once at the end
+    scale, nums = beta._scale, beta._nums
     for _ in range(count):
         j, k = rng.sample(range(n), 2)
-        lam = Fraction(rng.randint(0, 100), 100)
-        alpha = apply_transform(alpha, TTransform(j, k, lam))
-    return alpha, beta
+        scale, nums = _t_step(scale, nums, j, k, rng.randint(0, 100), 100)
+    return _from_ints(nums, scale), beta
 
 
 def random_strict_majorization_pair(
@@ -468,11 +480,9 @@ def random_strict_majorization_pair(
         ordered = sorted(counts, reverse=True)
         if all(20 * n * (a - b) >= total for a, b in zip(ordered, ordered[1:])):
             break
-    beta = _counts_vector(counts)
     j, k = rng.sample(range(n), 2)
-    lam = Fraction(rng.randint(10, 90), 100)
-    alpha = apply_transform(beta, TTransform(j, k, lam))
-    return alpha, beta
+    scale, nums = _t_step(total, counts, j, k, rng.randint(10, 90), 100)
+    return _from_ints(nums, scale), _from_ints(counts, total)
 
 
 __all__ = [

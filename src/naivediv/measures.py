@@ -31,7 +31,6 @@ from .simplex import (
     _sum_of_squares,
     _view,
     as_fraction,
-    half_l1,
     majorizes,
     random_weight_vector,
     uniform_vector,
@@ -151,8 +150,11 @@ def _hoover_ambient(xs: Sequence[float]) -> float:
 
 
 def _hoover_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
-    # the mass that moves to reach equal weights: rebalancing.turnover
-    return half_l1(ws, (Fraction(1, len(ws)),) * len(ws))
+    # the mass that moves to reach equal weights (rebalancing.turnover):
+    # half the sum of |x / scale - 1 / n|, over the common scale n * scale
+    n = len(ws)
+    scale, xs = _view(ws)
+    return Fraction(sum(abs(n * x - scale) for x in xs), 2 * n * scale)
 
 
 def _atkinson_ambient(eps: Fraction) -> AmbientFn:
@@ -376,6 +378,10 @@ def axiom_suite(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if n < 2:
+        # every allocation of one slot is the uniform one, so no sample can
+        # be bounded away from it
+        raise ValueError("axioms need at least two slots")
     rng = random.Random(seed)
 
     points = [uniform_vector(n)]

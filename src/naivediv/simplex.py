@@ -34,7 +34,8 @@ RationalLike = Union[Fraction, int, str]
 #: increasing from 0 to 1.
 _Curve = tuple[int, Sequence[int], int, Sequence[int]]
 
-_SAMPLER_DENOMINATOR_CAP = 10**6
+#: The sampler draws counts over D = _SAMPLER_LATTICE * n.
+_SAMPLER_LATTICE = 10**6
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -86,9 +87,19 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         weights = tuple(as_fraction(w) for w in self.weights)
-        if not weights:
-            raise ValueError("weight vector must have at least one entry")
         scale, (nums,) = _integer_view((weights,))
+        self._settle(weights, scale, tuple(nums), self.labels)
+
+    def _settle(
+        self,
+        weights: tuple[Fraction, ...],
+        scale: int,
+        nums: tuple[int, ...],
+        labels: Iterable[str] | None,
+    ) -> None:
+        """Check the invariants on the integer view, then set every field."""
+        if not nums:
+            raise ValueError("weight vector must have at least one entry")
         if any(x < 0 for x in nums):
             raise ValueError("weights must be nonnegative")
         total = sum(nums)
@@ -98,16 +109,16 @@ class WeightVector:
             )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_nums", tuple(nums))
-        if self.labels is not None:
-            labels = tuple(str(lab) for lab in self.labels)
+        object.__setattr__(self, "_nums", nums)
+        if labels is not None:
+            labels = tuple(str(lab) for lab in labels)
             if len(labels) != len(weights):
                 raise LengthMismatch(
                     f"{len(labels)} labels for {len(weights)} weights"
                 )
             if len(set(labels)) != len(labels):
                 raise ValueError("labels must be unique")
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -124,6 +135,23 @@ class WeightVector:
 
     def as_strings(self) -> tuple[str, ...]:
         return tuple(str(w) for w in self.weights)
+
+
+def _from_ints(
+    nums: Sequence[int], scale: int, labels: Sequence[str] | None = None
+) -> WeightVector:
+    """The weight vector with entries nums / scale, built on ints.
+
+    Dividing out gcd(scale, *nums) leaves the scale equal to the lcm of the
+    entries' denominators, the integer view ``WeightVector`` builds itself.
+    """
+    g = math.gcd(scale, *nums)
+    if g > 1:
+        scale //= g
+        nums = [x // g for x in nums]
+    w = object.__new__(WeightVector)
+    w._settle(tuple(map(Fraction, nums, repeat(scale))), scale, tuple(nums), labels)
+    return w
 
 
 def weight_vector(
@@ -386,60 +414,21 @@ def lorenz_dominates(a: LorenzCurve, b: LorenzCurve) -> MajorizationRelation:
     return _curve_order(a._view, b._view)
 
 
-def _snap(x: float, cap: int) -> tuple[int, int]:
-    """``(p, q)`` in lowest terms with p / q == Fraction(x).limit_denominator(cap).
-
-    The same continued-fraction walk on Python ints: the last convergent
-    with denominator at most ``cap`` or the best semiconvergent past it,
-    whichever is closer to x, the convergent on a tie.
-    """
-    n, den = x.as_integer_ratio()
-    if den <= cap:
-        return n, den
-    d = den
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > cap:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (cap - q0) // q1
-    q = q0 + k * q1
-    # The two candidates lie on either side of x, 1 / (q1 * q) apart, and
-    # p1 / q1 is d / (q1 * den) from x: it is at least as close iff
-    # 2 * d * q <= den.
-    if 2 * d * q <= den:
-        return p1, q1
-    return p0 + k * p1, q
-
-
 def _sampler_counts(rng: random.Random, n: int) -> list[int]:
-    """n exponential draws, each snapped to a rational with denominator at
-    most the sampler cap (a draw that snaps to 0 becomes 1/cap), as
-    numerators over the lcm of their denominators."""
+    """n positive counts summing to the sampler lattice's D = 10**6 * n: the
+    gaps between n - 1 distinct cut points drawn from 1 .. D - 1."""
     if n < 1:
         raise ValueError("need at least one slot")
-    snapped = []
-    for _ in range(n):
-        p, q = _snap(rng.expovariate(1.0), _SAMPLER_DENOMINATOR_CAP)
-        snapped.append((p, q) if p > 0 else (1, _SAMPLER_DENOMINATOR_CAP))
-    scale = math.lcm(*(q for _, q in snapped))
-    return [p * (scale // q) for p, q in snapped]
-
-
-def _counts_vector(counts: Sequence[int]) -> WeightVector:
-    """The weight vector proportional to positive integer counts."""
-    total = sum(counts)
-    return WeightVector(tuple(Fraction(c, total) for c in counts))
+    total = _SAMPLER_LATTICE * n
+    cuts = sorted(rng.sample(range(1, total), n - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
 
 
 def random_weight_vector(rng: random.Random, n: int) -> WeightVector:
-    """Draw a weight vector roughly uniformly over the simplex.
+    """Draw a weight vector uniformly from the lattice points with
+    denominator D = 10**6 * n inside the simplex.
 
-    Exponential draws normalized to unit sum give uniform (flat Dirichlet)
-    coverage; each draw is snapped to a nearby rational before the exact
-    normalization so the result satisfies the unit-sum invariant exactly.
+    Every weight is a positive multiple of 1/D, and every such allocation is
+    equally likely: a discrete flat Dirichlet, on ints throughout.
     """
-    return _counts_vector(_sampler_counts(rng, n))
+    return _from_ints(_sampler_counts(rng, n), _SAMPLER_LATTICE * n)

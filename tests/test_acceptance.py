@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from old_sampler import old_random_strict_majorization_pair, old_random_weight_vector
 from naivediv.matrices import (
     SquareMatrix,
     apply,
@@ -335,7 +336,7 @@ def test_criterion_8_multivariate_feasibility():
             n = rng.randint(2, 6)
             d = rng.randint(1, 3)
             p = random_doubly_stochastic(rng.randrange(10**9), n, k=rng.randint(1, n))
-            sources = [random_weight_vector(rng, n) for _ in range(d)]
+            sources = [old_random_weight_vector(rng, n) for _ in range(d)]
             targets = [apply(y, p) for y in sources]
             witness = multivariate_feasible(targets, sources)
             assert witness is not None
@@ -347,11 +348,11 @@ def test_criterion_8_multivariate_feasibility():
         for case in range(100):
             n = rng.randint(3, 6)
             d = rng.randint(1, 3)
-            sources = [random_weight_vector(rng, n) for _ in range(d)]
+            sources = [old_random_weight_vector(rng, n) for _ in range(d)]
             targets = list(sources)
             # make one target strictly sharper than its source: mixing can
             # never unflatten, so the stack is infeasible
-            flat, sharp = random_strict_majorization_pair(rng, n)
+            flat, sharp = old_random_strict_majorization_pair(rng, n)
             row = rng.randrange(d)
             sources[row] = flat
             targets[row] = sharp

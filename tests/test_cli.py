@@ -284,6 +284,18 @@ class TestAxioms:
         assert ordering["passed"] is False
         assert ordering["counterexamples"]
 
+    @pytest.mark.parametrize("measure", ["entropy", "hhi"])
+    def test_one_slot_exits_1_at_once(self, measure):
+        # every one-slot allocation is the uniform one, so no sample can be
+        # bounded away from it: the command must refuse, not search forever
+        done = subprocess.run(
+            [sys.executable, "-m", "naivediv.cli", "axioms", "--measure", measure,
+             "--n", "1", "--samples", "5"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "naivediv: axioms need at least two slots\n"
+
 
 class TestAversion:
     def test_reference_values(self, reference_file, capsys):

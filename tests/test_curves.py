@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import naivediv.preferences
 import naivediv.simplex
 from conftest import majorization_pairs, weight_vectors
+from old_sampler import old_random_weight_vector
 from naivediv.preferences import PreferenceOutcome, relative_naive_prefer
 from naivediv.simplex import (
     LorenzCurve,
@@ -26,7 +27,6 @@ from naivediv.simplex import (
     compare,
     lorenz_curve,
     lorenz_dominates,
-    random_weight_vector,
 )
 
 R = MajorizationRelation
@@ -163,7 +163,7 @@ def convex_curves(draw):
 
 def sampler_vectors(seed, sizes):
     rng = random.Random(seed)
-    return [random_weight_vector(rng, n) for n in sizes]
+    return [old_random_weight_vector(rng, n) for n in sizes]
 
 
 # --------------------------------------------------------------------------

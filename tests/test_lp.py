@@ -5,15 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from old_sampler import old_random_strict_majorization_pair, old_random_weight_vector
 from naivediv import lp
 from naivediv.lp import solve_equality_feasibility
-from naivediv.matrices import (
-    _mixing_witness,
-    apply,
-    random_doubly_stochastic,
-    random_strict_majorization_pair,
-)
-from naivediv.simplex import random_weight_vector
+from naivediv.matrices import _mixing_witness, apply, random_doubly_stochastic
 
 
 def check(rows, rhs, x):
@@ -157,18 +152,18 @@ def mixing_systems(rng, count):
         for case in range(count):
             n = rng.randint(2, 4)
             d = rng.randint(1, 2)
-            ys = [random_weight_vector(rng, n) for _ in range(d)]
+            ys = [old_random_weight_vector(rng, n) for _ in range(d)]
             if case % 3 == 0:
                 # a witness LP: (d, d) and (beta, alpha), often infeasible
                 d_, beta = ys[0].weights, ys[-1].weights
-                pairs = [(d_, d_), (beta, random_weight_vector(rng, n).weights)]
+                pairs = [(d_, d_), (beta, old_random_weight_vector(rng, n).weights)]
             else:
                 k = rng.randint(1, n)
                 p = random_doubly_stochastic(rng.randrange(10**9), n, k=k)
                 xs = [apply(y, p) for y in ys]
                 if case % 3 == 2:
                     # sharpen one target: no mixing matrix reaches it
-                    flat, sharp = random_strict_majorization_pair(rng, n)
+                    flat, sharp = old_random_strict_majorization_pair(rng, n)
                     ys[-1], xs[-1] = flat, sharp
                 ones = (F(1),) * n
                 pairs = [(ones, ones)]

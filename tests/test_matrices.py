@@ -1,5 +1,6 @@
 """Doubly stochastic matrices, transforms, decompositions, witnesses."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import majorization_pairs, weight_vectors
+from old_sampler import old_random_majorization_pair, old_random_strict_majorization_pair
 import naivediv.lp
 import naivediv.matrices
 import naivediv.measures
@@ -305,6 +307,26 @@ class TestTTransform:
         t = TTransform(j, k, lam)
         assert apply_transform(w, t).weights == apply(w, t_to_matrix(t, w.n)).weights
 
+    @given(weight_vectors(min_n=2, max_n=6), st.data())
+    def test_integer_step_matches_the_fraction_formula(self, w, data):
+        n = w.n
+        j = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(0, n - 1).filter(lambda x: x != j))
+        weights = list(w.weights)
+        if data.draw(st.booleans()):
+            # an empty slot on one side of the transfer
+            weights[j], weights[k] = weights[j] + weights[k], F(0)
+        labels = data.draw(st.none() | st.just(tuple(f"slot {i}" for i in range(n))))
+        w = WeightVector(tuple(weights), labels)
+        lam = data.draw(st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=60))
+        out = apply_transform(w, TTransform(j, k, lam))
+        a, b = weights[j], weights[k]
+        weights[j], weights[k] = lam * a + (1 - lam) * b, lam * b + (1 - lam) * a
+        assert out.weights == tuple(weights)
+        assert out.labels == w.labels
+        assert out._scale == math.lcm(*(x.denominator for x in weights))
+        assert out._nums == tuple(int(x * out._scale) for x in weights)
+
 
 @st.composite
 def transform_chains(draw, max_n: int = 6, max_steps: int = 10):
@@ -522,19 +544,28 @@ def test_composition_of_doubly_stochastic_is_doubly_stochastic():
     assert is_doubly_stochastic(a @ b)
 
 
-def old_random_strict_majorization_pair(rng, n):
-    """The body random_strict_majorization_pair had before it tested the
-    gaps on integer counts, kept as its oracle."""
-    gap = F(1, 20 * n)
-    while True:
-        beta = random_weight_vector(rng, n)
-        ordered = sorted(beta.weights, reverse=True)
-        if all(a - b >= gap for a, b in zip(ordered, ordered[1:])):
-            break
-    j, k = rng.sample(range(n), 2)
-    lam = F(rng.randint(10, 90), 100)
-    alpha = apply_transform(beta, TTransform(j, k, lam))
-    return alpha, beta
+def test_random_majorization_pair_matches_the_chained_transforms():
+    # the generator's old body applied one apply_transform per step; the
+    # integer chain must give the same pairs from the same random stream
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        # a drawn chain length on most seeds, a fixed one (0 to 4) on some
+        transforms = None if seed % 4 else seed % 5
+        for n in range(2, 9):
+            assert random_majorization_pair(new, n, transforms) == (
+                old_random_majorization_pair(old, n, transforms, sampler=random_weight_vector)
+            )
+            assert new.getstate() == old.getstate()
+
+
+def test_random_strict_majorization_pair_keeps_its_gap():
+    rng = random.Random(20)
+    for n in range(2, 9):
+        for _ in range(25):
+            alpha, beta = random_strict_majorization_pair(rng, n)
+            ordered = sorted(beta.weights, reverse=True)
+            assert all(a - b >= F(1, 20 * n) for a, b in zip(ordered, ordered[1:]))
+            assert majorizes(beta, alpha)
 
 
 def test_random_strict_majorization_pair_matches_its_old_body():
@@ -542,7 +573,7 @@ def test_random_strict_majorization_pair_matches_its_old_body():
         new, old = random.Random(seed), random.Random(seed)
         for n in range(2, 9):
             assert random_strict_majorization_pair(new, n) == (
-                old_random_strict_majorization_pair(old, n)
+                old_random_strict_majorization_pair(old, n, sampler=random_weight_vector)
             )
             assert new.getstate() == old.getstate()
 

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 
+import naivediv.measures
 from conftest import weight_vectors
+from old_sampler import old_random_weight_vector
 from naivediv.errors import DomainError, NotMajorized, UnknownMeasure
 from naivediv.measures import (
     EQUALITY_TOL,
@@ -92,7 +94,7 @@ class TestEvaluate:
         # denominators whose lcm, 30, is none of them
         cases.append([F(1, 6), F(1, 10), F(1, 15), F(1, 3), F(1, 3)])
         # the sampler: thousand-bit denominators
-        cases += [list(random_weight_vector(rng, n).weights) for n in (2, 7, 40)]
+        cases += [list(old_random_weight_vector(rng, n).weights) for n in (2, 7, 40)]
         gini = get_measure("gini_mean_diff")
         for ws in cases:
             assert exact_value(gini, WeightVector(tuple(ws))) == pairwise(ws)
@@ -245,6 +247,16 @@ class TestAxiomSuite:
         b = axiom_suite(get_measure("gini_mean_diff"), seed=7, samples=60, n=5)
         assert a == b
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_slots_refused_before_sampling(self, n, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(naivediv.measures, "random_weight_vector", no_draws)
+        for m in (get_measure("entropy"), get_measure("hhi")):
+            with pytest.raises(ValueError, match="axioms need at least two slots"):
+                axiom_suite(m, seed=1, samples=5, n=n)
+
     def test_report_json_shape(self):
         report = axiom_suite(get_measure("hoover"), seed=3, samples=30, n=3)
         data = report.to_json_dict()
@@ -380,7 +392,7 @@ class TestExactFormulasOnIntegerViews:
     def test_sampler_and_lattice_vectors(self):
         rng = random.Random(12)
         for n in (1, 2, 5, 30):
-            self.check(random_weight_vector(rng, n))
+            self.check(old_random_weight_vector(rng, n))
         self.check(weight_vector(["1/6", "1/10", "1/15", "1/3", "1/3"]))
         self.check(weight_vector(["1", "0", "0"]))
         self.check(uniform_vector(6))
@@ -389,7 +401,7 @@ class TestExactFormulasOnIntegerViews:
 def distance_vectors():
     """Sampler, lattice, tied and zero-slot vectors."""
     rng = random.Random(31)
-    vectors = [random_weight_vector(rng, n) for n in (1, 2, 5, 30, 64)]
+    vectors = [old_random_weight_vector(rng, n) for n in (1, 2, 5, 30, 64)]
     vectors += [WeightVector(tuple(F(c, 10**6 * 9) for c in counts)) for counts in (
         (10**6 * 9 - 8, 1, 1, 1, 1, 1, 1, 1, 1),
         (10**6,) * 9,

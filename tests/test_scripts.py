@@ -33,6 +33,12 @@ def test_scan_rebalance_family(tmp_path):
     assert len(out.read_text().splitlines()) == 26  # header plus one row per member
 
 
+def test_axiom_report_refuses_one_slot():
+    proc = run_script("axiom_report.py", "--n", "1", "--samples", "5")
+    assert proc.returncode == 1
+    assert proc.stderr == "axiom_report: axioms need at least two slots\n"
+
+
 def test_axiom_report_with_control():
     proc = run_script(
         "axiom_report.py", "--n", "4", "--samples", "5", "--include-control"

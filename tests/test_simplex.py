@@ -1,7 +1,6 @@
 """Weight vectors, majorization, and Lorenz curves."""
 
 import dataclasses
-import math
 import random
 from fractions import Fraction as F
 
@@ -15,7 +14,7 @@ from naivediv.simplex import (
     LorenzCurve,
     MajorizationRelation,
     WeightVector,
-    _snap,
+    _sampler_counts,
     compare,
     decreasing_rearrangement,
     half_l1,
@@ -279,80 +278,64 @@ def test_random_weight_vector_is_deterministic_and_valid():
     assert all(x > 0 for x in a.weights)
 
 
-CAP = 10**6
+LATTICE = 10**6
 
 
-def old_random_weight_vector(rng, n):
-    """The Fraction sampler that the integer one replaced, kept as its oracle."""
-    raw = []
-    for _ in range(n):
-        snapped = F(rng.expovariate(1.0)).limit_denominator(CAP)
-        if snapped <= 0:
-            snapped = F(1, CAP)
-        raw.append(snapped)
-    total = sum(raw)
-    return WeightVector(tuple(x / total for x in raw))
+def fraction_lattice_vector(rng, n):
+    """The lattice draw built from Fractions: n - 1 distinct cuts of
+    D = 10**6 * n, each gap c becoming the weight c / D."""
+    total = LATTICE * n
+    cuts = sorted(rng.sample(range(1, total), n - 1))
+    gaps = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return WeightVector(tuple(F(c, total) for c in gaps))
 
 
-def limit_denominator(x, cap):
-    f = F(x).limit_denominator(cap)
-    return f.numerator, f.denominator
+class TestLatticeSampler:
+    def test_counts_are_positive_and_sum_to_the_lattice(self):
+        for seed in range(50):
+            rng = random.Random(seed)
+            for n in (1, 2, 3, 8, 40):
+                counts = _sampler_counts(rng, n)
+                assert len(counts) == n
+                assert min(counts) >= 1
+                assert sum(counts) == LATTICE * n
 
+    def test_same_seed_same_vector(self):
+        for n in (1, 4, 30):
+            a = random_weight_vector(random.Random(2016), n)
+            b = random_weight_vector(random.Random(2016), n)
+            assert a == b
+            assert (a._scale, a._nums) == (b._scale, b._nums)
 
-class TestSnap:
-    def test_seeded_draws(self):
-        rng = random.Random(2024)
-        for _ in range(100_000):
-            x = rng.expovariate(1.0)
-            assert _snap(x, CAP) == limit_denominator(x, CAP)
+    def test_one_slot(self):
+        w = random_weight_vector(random.Random(3), 1)
+        assert w.weights == (1,)
+        assert (w._scale, w._nums) == (1, (1,))
 
-    def test_edge_cases(self):
-        cases = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, 0.375, 3 / 2**19, 2.0**-20]
-        cases += [1.0, 7.0, 1e7 + 0.3, 2.0**60 + 2**9, 123456789.987654, -2.75]
-        for x in cases:
-            assert _snap(x, CAP) == limit_denominator(x, CAP), x
-
-    def test_near_ties(self):
-        # x near the midpoint of two Farey neighbours of order cap: for x
-        # between them they are the two candidates limit_denominator weighs
-        rng = random.Random(7)
-        for cap in (1, 2, 3, 7, 100, 1000, CAP):
-            for _ in range(300):
-                k = rng.randint(1, cap)
-                h = rng.randrange(-5 * k, 5 * k)
-                while math.gcd(h, k) != 1:
-                    h += 1
-                k2 = cap if k == 1 else (-pow(h, -1, k)) % k
-                k2 += (cap - k2) // k * k
-                h2 = (1 + h * k2) // k  # h2 * k - h * k2 == 1: neighbours
-                mid = float(F(h, k) + F(h2, k2)) / 2
-                for x in (math.nextafter(mid, -math.inf), mid, math.nextafter(mid, math.inf)):
-                    assert _snap(x, cap) == limit_denominator(x, cap), (x, cap)
+    def test_every_slot_averages_one_over_n(self):
+        rng = random.Random(77)
+        draws = 4000
+        for n in (2, 3, 5, 8):
+            totals = [F(0)] * n
+            for _ in range(draws):
+                totals = [t + x for t, x in zip(totals, random_weight_vector(rng, n).weights)]
+            # a slot's weight has mean 1/n and standard deviation below
+            # 1/n, so 1/(10n) is over six standard errors of a 4000-draw mean
+            for t in totals:
+                assert abs(t / draws - F(1, n)) < F(1, 10 * n)
 
 
 class TestSamplerAgainstTheFractionSampler:
-    def test_same_vectors_and_stream(self):
-        # every n from 1 to 40 on 25 of the 200 seeds, five lengths a seed
-        for seed in range(200):
+    def test_same_vectors_views_and_stream(self):
+        for seed in range(100):
             new, old = random.Random(seed), random.Random(seed)
             for n in range(1 + seed % 8, 41, 8):
                 w = random_weight_vector(new, n)
-                assert w == old_random_weight_vector(old, n)
+                expected = fraction_lattice_vector(old, n)
+                assert w == expected
+                # the view built on ints equals the one built from Fractions
+                assert (w._scale, w._nums) == (expected._scale, expected._nums)
                 assert new.getstate() == old.getstate()
-
-    def test_draws_that_snap_to_zero(self):
-        class Scripted(random.Random):
-            def __init__(self, draws):
-                super().__init__(0)
-                self.draws = list(draws)
-
-            def expovariate(self, lambd=1.0):
-                return self.draws.pop(0)
-
-        draws = [0.0, 4e-7, 5e-324, 1.5, 2.0**-20]
-        w = random_weight_vector(Scripted(draws), len(draws))
-        assert w == old_random_weight_vector(Scripted(draws), len(draws))
-        assert w.weights[0] == w.weights[1] == w.weights[2] > 0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="need at least one slot"):
