@@ -4,6 +4,16 @@ Machine formats keep every number as an exact rational string ("1/2",
 "0.25" -> exactly 1/4); floats appear only in explicitly decimal fields
 like practical turnover and cost.  Weight files are JSON by default, CSV
 when the path ends in .csv.
+
+Every number is read by one parser, ``_rational_pair``, into a pair of
+ints ``(p, q)``: a plain ASCII ``p/q`` or ``p`` goes straight to ``int``,
+and every other form (signs, whitespace, decimals, exponents, underscores,
+non-ASCII digits, non-string JSON values) through ``Fraction``.  So it
+accepts exactly what ``Fraction`` accepts, with the same values and the
+same errors.  Weight vectors are built from those pairs on ints
+(``_weight_vector``); their Fraction entries are made only when something
+reads them.  A vector that breaks an invariant is reported with its file
+and field, e.g. ``w.json: 'weights': weights must sum to exactly 1, ...``.
 """
 
 from __future__ import annotations
@@ -11,20 +21,63 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from .matrices import SquareMatrix, TTransform
 from .rebalancing import RebalancePlan
-from .simplex import WeightVector, as_fraction
+from .simplex import WeightVector, _checked_labels, _from_ints, as_fraction
+
+
+def _rational_pair(value: object) -> tuple[int, int]:
+    """``(p, q)`` with q > 0 and p / q the exact value of a number in a file."""
+    if isinstance(value, str) and value.isascii():
+        p, slash, q = value.partition("/")
+        if p.isdigit() and (q.isdigit() or not slash):
+            q = int(q) if slash else 1
+            if q:
+                return int(p), q
+    try:
+        x = as_fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {value!r}") from exc
+    return x.numerator, x.denominator
 
 
 def parse_rational(text: str) -> Fraction:
     """'p/q' or decimal literal -> exact Fraction."""
+    return Fraction(*_rational_pair(text))
+
+
+def _weight_vector(
+    values: Sequence[object],
+    where: str,
+    labels: Sequence[object] | None = None,
+    labels_where: str = "",
+) -> WeightVector:
+    """The weight vector of the numbers ``values``, built on ints over the
+    lcm of their denominators; a ValueError names ``where`` (a file and a
+    field), or ``labels_where`` when the labels are at fault."""
+    if labels is not None:
+        try:
+            labels = _checked_labels(labels, len(values))
+        except ValueError as exc:
+            raise type(exc)(f"{labels_where}: {exc}") from None
     try:
-        return as_fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        nums, scale = _over_lcm([_rational_pair(x) for x in values])
+        return _from_ints(nums, scale, labels)
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of the fractions p / q of ``pairs`` over the lcm of
+    the q's, and that lcm.  A function of its own so that the caller's list
+    of pairs is freed before the vector is built."""
+    scale = math.lcm(*(q for _, q in pairs))
+    return [p * (scale // q) for p, q in pairs], scale
 
 
 def format_float(value: float, precision: int) -> str:
@@ -67,18 +120,17 @@ def _weights_from_dict(data: object, where: str | Path) -> WeightVector:
     if not isinstance(data, dict) or "weights" not in data:
         raise ValueError(f"{where}: needs a JSON object with a 'weights' field")
     values = _json_array(data["weights"], "'weights'", where)
-    weights = tuple(parse_rational(x) for x in values)
     labels = data.get("labels")
     if labels is not None:
-        labels = tuple(_json_array(labels, "'labels'", where))
-    return WeightVector(weights, labels)
+        labels = _json_array(labels, "'labels'", where)
+    return _weight_vector(values, f"{where}: 'weights'", labels, f"{where}: 'labels'")
 
 
 def weights_from_dict(data: dict) -> WeightVector:
     return _weights_from_dict(data, "weight data")
 
 
-def _load_weights_csv(text: str) -> WeightVector:
+def _load_weights_csv(text: str, where: Path) -> WeightVector:
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows or [cell.strip() for cell in rows[0]] != ["label", "weight"]:
@@ -89,15 +141,17 @@ def _load_weights_csv(text: str) -> WeightVector:
         if len(row) != 2:
             raise ValueError(f"weight CSV rows need 2 columns, got {row!r}")
         labels.append(row[0].strip())
-        weights.append(parse_rational(row[1]))
-    return WeightVector(tuple(weights), tuple(labels))
+        weights.append(row[1])
+    return _weight_vector(
+        weights, f"{where}: 'weight' column", labels, f"{where}: 'label' column"
+    )
 
 
 def load_weights(path: str | Path) -> WeightVector:
     """Read a weight allocation from a JSON (default) or .csv file."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        return _load_weights_csv(p.read_text())
+        return _load_weights_csv(p.read_text(), p)
     return _weights_from_dict(json.loads(p.read_text()), p)
 
 
@@ -131,10 +185,14 @@ def load_square_matrix(path: str | Path) -> SquareMatrix:
 
 def load_allocation_rows(path: str | Path) -> list[WeightVector]:
     """Read a d x n stack of allocations (each row sums to 1) from JSON."""
-    _, grid = _entries(Path(path))
-    rows = [WeightVector(tuple(parse_rational(e) for e in row)) for row in grid]
+    p = Path(path)
+    _, grid = _entries(p)
+    rows = [
+        _weight_vector(row, f"{p}: row {i} of 'entries'")
+        for i, row in enumerate(grid, 1)
+    ]
     if not rows:
-        raise ValueError(f"{path}: allocation file has no rows")
+        raise ValueError(f"{p}: allocation file has no rows")
     return rows
 
 
@@ -188,8 +246,8 @@ def _plan_scalar(value: object, what: str, kind: str) -> int | float:
 
 def plan_from_dict(data: dict) -> RebalancePlan:
     """Rebuild a plan from its JSON form; replay is re-verified on construction."""
-    source = weights_from_dict(data["source"])
-    target = weights_from_dict(data["target"])
+    source = _weights_from_dict(data["source"], "plan data: 'source'")
+    target = _weights_from_dict(data["target"], "plan data: 'target'")
     steps = tuple(
         TTransform(
             _plan_scalar(s["j"], "'j' of a step", "integer") - 1,
@@ -199,8 +257,10 @@ def plan_from_dict(data: dict) -> RebalancePlan:
         for s in _json_objects(data["steps"], "steps", ("j", "k", "lambda"))
     )
     intermediates = tuple(
-        WeightVector(tuple(parse_rational(x) for x in row))
-        for row in _json_rows(data["intermediates"], "intermediates", "plan data")
+        _weight_vector(row, f"plan data: row {i} of 'intermediates'")
+        for i, row in enumerate(
+            _json_rows(data["intermediates"], "intermediates", "plan data"), 1
+        )
     )
     practical = data.get("practical_turnover")
     return RebalancePlan(

@@ -220,9 +220,9 @@ class RebalancePlan:
             raise ValueError("need exactly one intermediate per step")
         for step, expected in zip(self.steps, self.intermediates):
             current = apply_transform(current, step)
-            if current.weights != expected.weights:
+            if _view(current) != _view(expected):
                 raise ValueError("intermediate does not match its step")
-        if current.weights != self.target.weights:
+        if _view(current) != _view(self.target):
             raise ValueError("steps do not reproduce the target")
         if self.turnover != half_l1(self.source, self.target):
             raise ValueError("turnover does not match source and target")
@@ -273,7 +273,7 @@ def rebalance_to(
     cost = float(cost_rate) * float(2 * tau)
 
     practical: float | None = None
-    if target.weights == uniform_vector(w.n).weights:
+    if _view(target) == _view(uniform_vector(w.n)):
         product = compose(steps, w.n)
         scale = math.sqrt(float(min_permutation_distance_squared(product)))
         practical = float(tau) * scale

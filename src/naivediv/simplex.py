@@ -1,9 +1,10 @@
 """Exact-arithmetic weight vectors and the majorization preorder.
 
-All weights are `fractions.Fraction` values, so every ordering decision
-(partial sums, Lorenz comparisons) is exact.  Each vector also keeps an
-integer view of itself, its numerators over the lcm of its denominators,
-so sums and comparisons run on Python ints.  Floats appear only further
+A weight vector's state is its integer view: its numerators over the lcm
+of its denominators.  Every ordering decision (partial sums, Lorenz
+comparisons) and every exact measure runs on those Python ints, so all of
+them are exact.  The `fractions.Fraction` entries, ``weights``, are built
+from the view on first read and cached.  Floats appear only further
 downstream, in measure evaluation and report formatting.
 
 A vector ``beta`` majorizes ``alpha`` when both have equal totals and the
@@ -77,55 +78,60 @@ class WeightVector:
 
     Invariants enforced on construction: nonnegative entries, exact unit sum,
     and labels (when given) unique and matching the length.
+
+    The state is the integer view ``(_scale, _nums)``: ``_scale`` is the lcm
+    of the entries' denominators and ``weights == _nums / _scale`` entrywise.
+    The view is canonical, so ``==`` and ``hash`` read it and the labels.
+    ``weights``, the entries as Fractions, is built on first read and cached
+    (``_from_ints`` never builds it; the constructor keeps what it is given).
     """
 
-    weights: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...] = field(compare=False)
     labels: tuple[str, ...] | None = None
-    # the integer view: weights == _nums / _scale entrywise
-    _scale: int = field(init=False, compare=False, repr=False)
-    _nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _scale: int = field(init=False, repr=False)
+    _nums: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = tuple(as_fraction(w) for w in self.weights)
         scale, (nums,) = _integer_view((weights,))
-        self._settle(weights, scale, tuple(nums), self.labels)
+        self._settle(scale, tuple(nums), self.labels)
+        object.__setattr__(self, "weights", weights)
 
     def _settle(
-        self,
-        weights: tuple[Fraction, ...],
-        scale: int,
-        nums: tuple[int, ...],
-        labels: Iterable[str] | None,
+        self, scale: int, nums: tuple[int, ...], labels: Iterable[str] | None
     ) -> None:
-        """Check the invariants on the integer view, then set every field."""
+        """Check the invariants on the integer view, then set the view and
+        the labels."""
         if not nums:
             raise ValueError("weight vector must have at least one entry")
-        if any(x < 0 for x in nums):
+        if min(nums) < 0:
             raise ValueError("weights must be nonnegative")
         total = sum(nums)
         if total != scale:
             raise ValueError(
                 f"weights must sum to exactly 1, got {Fraction(total, scale)}"
             )
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_nums", nums)
-        if labels is not None:
-            labels = tuple(str(lab) for lab in labels)
-            if len(labels) != len(weights):
-                raise LengthMismatch(
-                    f"{len(labels)} labels for {len(weights)} weights"
-                )
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be unique")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _checked_labels(labels, len(nums)))
+
+    def __getattr__(self, name: str) -> tuple[Fraction, ...]:
+        # reached only when normal lookup fails: ``weights`` not built yet
+        view = self.__dict__
+        if name != "weights" or "_nums" not in view:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        weights = tuple(map(Fraction, view["_nums"], repeat(view["_scale"])))
+        object.__setattr__(self, "weights", weights)
+        return weights
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self._nums)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self._nums)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.weights)
@@ -137,20 +143,34 @@ class WeightVector:
         return tuple(str(w) for w in self.weights)
 
 
+def _checked_labels(
+    labels: Iterable[str] | None, n: int
+) -> tuple[str, ...] | None:
+    """``labels`` as a tuple of strings, checked to be n unique names."""
+    if labels is None:
+        return None
+    labels = tuple(str(lab) for lab in labels)
+    if len(labels) != n:
+        raise LengthMismatch(f"{len(labels)} labels for {n} weights")
+    if len(set(labels)) != n:
+        raise ValueError("labels must be unique")
+    return labels
+
+
 def _from_ints(
-    nums: Sequence[int], scale: int, labels: Sequence[str] | None = None
+    nums: Sequence[int], scale: int, labels: Iterable[str] | None = None
 ) -> WeightVector:
     """The weight vector with entries nums / scale, built on ints.
 
     Dividing out gcd(scale, *nums) leaves the scale equal to the lcm of the
-    entries' denominators, the integer view ``WeightVector`` builds itself.
+    entries' denominators, the canonical integer view.  No Fraction is made.
     """
     g = math.gcd(scale, *nums)
     if g > 1:
         scale //= g
         nums = [x // g for x in nums]
     w = object.__new__(WeightVector)
-    w._settle(tuple(map(Fraction, nums, repeat(scale))), scale, tuple(nums), labels)
+    w._settle(scale, tuple(nums), labels)
     return w
 
 
@@ -168,7 +188,7 @@ def uniform_vector(n: int) -> WeightVector:
     """The equal-weight allocation 1/n in every slot."""
     if n < 1:
         raise ValueError("need at least one slot")
-    return WeightVector(tuple(Fraction(1, n) for _ in range(n)))
+    return _from_ints((1,) * n, n)
 
 
 def decreasing_rearrangement(w: WeightVector) -> WeightVector:
@@ -176,10 +196,10 @@ def decreasing_rearrangement(w: WeightVector) -> WeightVector:
 
     Labels, when present, travel with their weights.
     """
-    order = sorted(range(w.n), key=lambda i: (-w.weights[i], i))
-    weights = tuple(w.weights[i] for i in order)
+    nums = w._nums
+    order = sorted(range(w.n), key=lambda i: (-nums[i], i))
     labels = tuple(w.labels[i] for i in order) if w.labels is not None else None
-    return WeightVector(weights, labels)
+    return _from_ints([nums[i] for i in order], w._scale, labels)
 
 
 def _check_same_length(a: WeightVector, b: WeightVector) -> None:

@@ -468,6 +468,40 @@ class TestMalformedFiles:
         assert code == 1
         assert str(bad) in err and field in err
 
+    def test_json_vector_names_file_and_field(self, tmp_path, reference_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"weights": ["1/2", "1/3"]}))
+        code, out, err = run_cli(["compare", str(bad), reference_file], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"naivediv: {bad}: 'weights': weights must sum to exactly 1, got 5/6\n"
+
+    def test_json_labels_name_file_and_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"weights": ["1/2", "1/2"], "labels": ["x", "x"]}))
+        code, _, err = run_cli(["measures", str(bad)], capsys)
+        assert code == 1
+        assert err == f"naivediv: {bad}: 'labels': labels must be unique\n"
+
+    def test_csv_vector_names_file_and_column(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("label,weight\na,1/2\nb,1/4\n")
+        code, _, err = run_cli(["aversion", str(bad)], capsys)
+        assert code == 1
+        assert err == (
+            f"naivediv: {bad}: 'weight' column: weights must sum to exactly 1, got 3/4\n"
+        )
+
+    def test_allocation_row_names_file_and_row(self, tmp_path, capsys):
+        bad = tmp_path / "rows.json"
+        bad.write_text(json.dumps({"entries": [["1/3", "2/3"], ["1/2", "1/3"]]}))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"entries": [["1/2", "1/2"], ["1/2", "1/2"]]}))
+        code, _, err = run_cli(["multi-check", str(bad), str(good)], capsys)
+        assert code == 1
+        assert err == (
+            f"naivediv: {bad}: row 2 of 'entries': weights must sum to exactly 1, got 5/6\n"
+        )
+
     def test_negative_lorenz_points(self, reference_file, capsys):
         code, out, err = run_cli(["lorenz", reference_file, "--points", "-3"], capsys)
         assert code == 1

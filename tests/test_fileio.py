@@ -2,11 +2,15 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from naivediv.errors import DimensionMismatch
+from naivediv.errors import DimensionMismatch, LengthMismatch
 from naivediv.fileio import (
+    _rational_pair,
     format_float,
     json_float,
     load_allocation_rows,
@@ -21,8 +25,16 @@ from naivediv.fileio import (
     write_text,
 )
 from naivediv.matrices import uniform_mixing_matrix
+from naivediv.measures import evaluate, get_measure
+from naivediv.preferences import aversion_squared, inequality_aversion_coefficient
 from naivediv.rebalancing import minimal_turnover_plan, rebalance_to
-from naivediv.simplex import WeightVector, uniform_vector, weight_vector
+from naivediv.simplex import (
+    WeightVector,
+    as_fraction,
+    compare,
+    uniform_vector,
+    weight_vector,
+)
 
 REFERENCE = weight_vector(["1/2", "1/3", "1/6"])
 
@@ -265,6 +277,188 @@ class TestPlanFiles:
         assert [t["label"] for t in data["trades"]] == ["bonds", "stocks", "cash"]
         data["trades"][0]["label"] = "w1"
         with pytest.raises(ValueError):
+            plan_from_dict(data)
+
+
+def fraction_reader(value):
+    """The reader the integer parser replaced: one Fraction per entry."""
+    try:
+        return as_fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {value!r}") from exc
+
+
+def outcome(read, value):
+    """``read(value)`` as a Fraction, or the message of its ValueError."""
+    try:
+        return F(*read(value)) if read is _rational_pair else read(value)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+NUMBER_TEXT = st.text(
+    alphabet=st.sampled_from("0123456789/+-._eE \t١٢٣１２"), max_size=12
+)
+JSON_SCALARS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2)
+)
+
+
+#: The golden weight and allocation files (the others are expected outputs).
+GOLDEN_INPUTS = [
+    path
+    for path in sorted((Path(__file__).parent / "golden").glob("*.json"))
+    if {"weights", "entries"} & json.loads(path.read_text()).keys()
+]
+
+
+class TestIntegerParserAgainstFractions:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "1/3", "12", "0", "007/010", "2/4", "1_000/3", "0.25", ".5", "1e-3",
+            "1E3", "+1/3", "-1/3", "-0", " 1/3 ", "\t2\n", "١٢/٣", "１/３",
+            "²/3", "½", "1/0", "1/00", "0/0", "", " ", "/", "/3", "3/", "1/2/3",
+            "1 /2", "abc", "inf", "nan", "1/-2",
+            1, 0, -1, 10**30, 0.5, 2.5e-3, 1e300, float("nan"), True, False,
+            None, [1], {"p": 1},
+        ],
+    )
+    def test_hand_picked(self, value):
+        assert outcome(_rational_pair, value) == outcome(fraction_reader, value)
+        assert outcome(parse_rational, value) == outcome(fraction_reader, value)
+
+    @given(st.one_of(NUMBER_TEXT, JSON_SCALARS))
+    def test_drawn(self, value):
+        assert outcome(_rational_pair, value) == outcome(fraction_reader, value)
+
+    @given(st.integers(0, 10**40), st.integers(0, 10**40))
+    def test_plain_pairs(self, p, q):
+        text = f"{p}/{q}"
+        assert outcome(_rational_pair, text) == outcome(fraction_reader, text)
+        if q:
+            assert _rational_pair(text)[1] > 0
+
+    @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.name)
+    def test_golden_inputs_load_as_with_fractions(self, path):
+        data = json.loads(path.read_text())
+        if "weights" in data:
+            got = [load_weights(path)]
+            rows = [data["weights"]]
+        else:
+            got = load_allocation_rows(path)
+            rows = data["entries"]
+        for w, row in zip(got, rows, strict=True):
+            expected = WeightVector(tuple(fraction_reader(x) for x in row))
+            assert w == expected
+            assert (w._scale, w._nums) == (expected._scale, expected._nums)
+            assert w.weights == expected.weights
+
+
+class TestVectorErrorsNameTheField:
+    """An invalid vector is reported with its file and field; the text after
+    that prefix is the vector's own message."""
+
+    def test_json_weights(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": ["1/2", "1/3"]}))
+        with pytest.raises(ValueError) as excinfo:
+            load_weights(path)
+        assert str(excinfo.value) == f"{path}: 'weights': weights must sum to exactly 1, got 5/6"
+
+    def test_unparseable_entry(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": ["1/2", "half"]}))
+        with pytest.raises(ValueError) as excinfo:
+            load_weights(path)
+        assert str(excinfo.value) == f"{path}: 'weights': not a rational number: 'half'"
+
+    def test_json_labels(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": ["1/2", "1/2"], "labels": ["a", "a"]}))
+        with pytest.raises(ValueError) as excinfo:
+            load_weights(path)
+        assert str(excinfo.value) == f"{path}: 'labels': labels must be unique"
+
+    def test_label_count_keeps_its_type(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": ["1/2", "1/2"], "labels": ["a"]}))
+        with pytest.raises(LengthMismatch, match=f"'labels': 1 labels for 2 weights"):
+            load_weights(path)
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("label,weight\na,1/2\nb,-1/2\nc,1\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_weights(path)
+        assert str(excinfo.value) == f"{path}: 'weight' column: weights must be nonnegative"
+
+    def test_allocation_row(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"entries": [["1/2", "1/2"], ["1/2", "1/4"]]}))
+        with pytest.raises(ValueError) as excinfo:
+            load_allocation_rows(path)
+        assert str(excinfo.value) == (
+            f"{path}: row 2 of 'entries': weights must sum to exactly 1, got 3/4"
+        )
+
+    @pytest.mark.parametrize(
+        "field, prefix",
+        [
+            ("source", "plan data: 'source': 'weights': "),
+            ("target", "plan data: 'target': 'weights': "),
+            ("intermediates", "plan data: row 1 of 'intermediates': "),
+        ],
+    )
+    def test_plan_vectors(self, field, prefix):
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE))
+        if field == "intermediates":
+            data[field][0] = ["1/3", "1/3", "1/2"]
+        else:
+            data[field]["weights"] = ["1/3", "1/3", "1/2"]
+        with pytest.raises(ValueError) as excinfo:
+            plan_from_dict(data)
+        assert str(excinfo.value) == prefix + "weights must sum to exactly 1, got 7/6"
+
+
+class TestLoadedVectorsStayOnInts:
+    """The Fractions of a loaded vector are built only when read, and the
+    order questions, the aversion and the exact measures never read them."""
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("w.json", json.dumps({"weights": ["1/2", "1/3", "1/6"], "labels": ["a", "b", "c"]})),
+            ("w.csv", "label,weight\na,0.25\nb, 1/4\nc,1/2\n"),
+        ],
+    )
+    def test_hot_paths_build_no_fractions(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        w, v = load_weights(path), load_weights(path)
+        compare(w, uniform_vector(3))
+        compare(w, v)
+        aversion_squared(w)
+        inequality_aversion_coefficient(w)
+        for mid in ("hhi", "hoover", "simpson", "gini_mean_diff"):
+            evaluate(get_measure(mid), w)
+        assert "weights" not in vars(w) and "weights" not in vars(v)
+        assert w.weights == tuple(F(x) for x in w.as_strings())
+        assert "weights" in vars(w)
+
+    def test_labeled_plan_replays_and_validates(self, tmp_path):
+        source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
+        for target in (uniform_vector(3), weight_vector(["1/3", "1/2", "1/6"])):
+            plan = rebalance_to(source, target)
+            rebuilt = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan, precision=17))))
+            assert (rebuilt.source, rebuilt.target) == (plan.source, plan.target)
+            assert (rebuilt.steps, rebuilt.trades) == (plan.steps, plan.trades)
+            assert [w.weights for w in rebuilt.intermediates] == [
+                w.weights for w in plan.intermediates
+            ]
+        data = plan_to_dict(minimal_turnover_plan(source))
+        data["intermediates"][0] = ["1/6", "1/2", "1/3"]
+        with pytest.raises(ValueError, match="intermediate does not match its step"):
             plan_from_dict(data)
 
 

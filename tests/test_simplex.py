@@ -1,6 +1,8 @@
 """Weight vectors, majorization, and Lorenz curves."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ from naivediv.simplex import (
     LorenzCurve,
     MajorizationRelation,
     WeightVector,
+    _from_ints,
     _sampler_counts,
     compare,
     decreasing_rearrangement,
@@ -417,6 +420,52 @@ class TestIntegerView:
             assert hash(w) == hash(first)
             assert repr(w) == repr(first)
         assert len(set(routes)) == 1
+
+    def test_routes_with_and_without_fractions_agree(self):
+        labels = ("a", "b", "c")
+        routes = [
+            _from_ints([1, 2, 1], 4, labels),
+            _from_ints([3, 6, 3], 12, labels),
+            weight_vector(["1/4", "0.5", "1/4"], labels),
+            WeightVector((F(1, 4), F(1, 2), F(1, 4)), labels),
+        ]
+        assert "weights" not in vars(routes[0])
+        for w in routes:
+            assert w == routes[0]
+            assert hash(w) == hash(routes[0])
+            assert repr(w) == repr(routes[0])
+            assert (w._scale, w._nums) == (4, (1, 2, 1))
+        assert routes[0] != _from_ints([1, 2, 1], 4)  # labels still count
+        assert routes[0] != _from_ints([2, 1, 1], 4, labels)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_round_trip_built_or_not(self, clone):
+        lazy = _from_ints([1, 2, 3], 6, ("x", "y", "z"))
+        built = _from_ints([1, 2, 3], 6, ("x", "y", "z"))
+        assert built.weights == (F(1, 6), F(1, 3), F(1, 2))
+        assert "weights" not in vars(clone(lazy))
+        for w in (lazy, built):
+            twin = clone(w)
+            assert twin == w and hash(twin) == hash(w)
+            assert twin.weights == (F(1, 6), F(1, 3), F(1, 2))
+            assert repr(twin) == repr(w)
+
+    def test_replace_on_an_unbuilt_vector(self):
+        w = _from_ints([1, 1], 2)
+        labeled = dataclasses.replace(w, labels=("a", "b"))
+        assert labeled.weights == (F(1, 2), F(1, 2))
+        assert labeled == _from_ints([1, 1], 2, ("a", "b"))
+
+    def test_only_weights_is_built_on_demand(self):
+        w = _from_ints([1, 1], 2)
+        with pytest.raises(AttributeError, match="no attribute 'weight'"):
+            w.weight
+        assert list(w) == [F(1, 2), F(1, 2)]
+        assert (w.n, len(w)) == (2, 2)
 
     def test_replace_rebuilds_the_view(self):
         w = weight_vector(["1/2", "1/3", "1/6"])
