@@ -28,7 +28,13 @@ from typing import Sequence
 
 from .matrices import SquareMatrix, TTransform
 from .rebalancing import RebalancePlan
-from .simplex import WeightVector, _checked_labels, _from_ints, as_fraction
+from .simplex import (
+    WeightVector,
+    _checked_labels,
+    _from_ints,
+    _rational_strings,
+    as_fraction,
+)
 
 
 def _rational_pair(value: object) -> tuple[int, int]:
@@ -94,7 +100,7 @@ def weights_to_dict(w: WeightVector) -> dict:
     out: dict = {}
     if w.labels is not None:
         out["labels"] = list(w.labels)
-    out["weights"] = [str(x) for x in w.weights]
+    out["weights"] = list(w.as_strings())
     return out
 
 
@@ -156,9 +162,10 @@ def load_weights(path: str | Path) -> WeightVector:
 
 
 def matrix_to_dict(m: SquareMatrix) -> dict:
+    scale, a = m._scaled
     return {
         "order": m.order,
-        "entries": [[str(e) for e in row] for row in m.rows],
+        "entries": [list(_rational_strings(row, scale)) for row in a],
     }
 
 
@@ -205,9 +212,7 @@ def plan_to_dict(plan: RebalancePlan, precision: int = 12) -> dict:
         "steps": [
             {"j": t.j + 1, "k": t.k + 1, "lambda": str(t.lam)} for t in plan.steps
         ],
-        "intermediates": [
-            [str(x) for x in w.weights] for w in plan.intermediates
-        ],
+        "intermediates": [list(w.as_strings()) for w in plan.intermediates],
         "turnover": str(plan.turnover),
         "practical_turnover": (
             json_float(practical, precision) if practical is not None else None
@@ -256,18 +261,20 @@ def plan_from_dict(data: dict) -> RebalancePlan:
         )
         for s in _json_objects(data["steps"], "steps", ("j", "k", "lambda"))
     )
-    intermediates = tuple(
-        _weight_vector(row, f"plan data: row {i} of 'intermediates'")
-        for i, row in enumerate(
-            _json_rows(data["intermediates"], "intermediates", "plan data"), 1
-        )
-    )
+    # every intermediate carries the source's labels, as replaying the
+    # steps on the source does
+    intermediates = []
+    for i, row in enumerate(
+        _json_rows(data["intermediates"], "intermediates", "plan data"), 1
+    ):
+        where = f"plan data: row {i} of 'intermediates'"
+        intermediates.append(_weight_vector(row, where, source.labels, where))
     practical = data.get("practical_turnover")
     return RebalancePlan(
         source=source,
         target=target,
         steps=steps,
-        intermediates=intermediates,
+        intermediates=tuple(intermediates),
         turnover=parse_rational(data["turnover"]),
         practical_turnover=(
             float(_plan_scalar(practical, "'practical_turnover'", "number"))

@@ -10,15 +10,22 @@ direction is a chain of two-coordinate averaging transforms
 where ``Pi_jk`` swaps coordinates j and k.  ``muirhead_decompose`` builds
 such a chain explicitly, ``compose`` multiplies a chain out, and
 ``hlp_witness`` does both.
+
+A matrix lives on its integer view, as a weight vector does: its state is
+the numerators over the lcm of the denominators, and its Fraction rows are
+built only when read.  The chain is built on the vectors' integer views,
+``compose`` does O(n) integer work per step, and every membership check
+(``_carries``) sums ints.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import lp
@@ -45,63 +52,90 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """An immutable n-by-n matrix of exact rationals."""
+    """An immutable n-by-n matrix of exact rationals.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    The state is the integer view ``_scaled = (scale, a)``: ``a`` holds the
+    entries' numerators over ``scale``, the lcm of their denominators, so
+    ``rows == a / scale`` entrywise.  The view is canonical, so ``==`` and
+    ``hash`` read it.  ``rows``, the entries as Fractions, is built on first
+    read and cached (``_from_ints`` never builds it; the constructor keeps
+    what it is given).
+    """
+
+    rows: tuple[tuple[Fraction, ...], ...] = field(compare=False)
+    _scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(as_fraction(e) for e in row) for row in self.rows)
-        n = len(rows)
+        self._settle(*_integer_view(rows))
+        object.__setattr__(self, "rows", rows)
+
+    def _settle(self, scale: int, a: Sequence[Sequence[int]]) -> None:
+        """Check the shape of the integer view, then set it."""
+        n = len(a)
         if n == 0:
             raise ValueError("matrix must have at least one row")
-        if any(len(row) != n for row in rows):
+        if any(len(row) != n for row in a):
             raise DimensionMismatch("matrix must be square")
+        object.__setattr__(self, "_scaled", (scale, tuple(map(tuple, a))))
+
+    @classmethod
+    def _from_ints(cls, a: Sequence[Sequence[int]], scale: int) -> "SquareMatrix":
+        """The matrix with entries a / scale, built on ints.
+
+        Dividing out the gcd of scale and every entry leaves the scale equal
+        to the lcm of the entries' denominators, the canonical view.
+        """
+        g = math.gcd(scale, *(x for row in a for x in row))
+        if g > 1:
+            scale //= g
+            a = [[x // g for x in row] for row in a]
+        m = object.__new__(cls)
+        m._settle(scale, a)
+        return m
+
+    def __getattr__(self, name: str) -> tuple[tuple[Fraction, ...], ...]:
+        # reached only when normal lookup fails: ``rows`` not built yet
+        view = self.__dict__
+        if name != "rows" or "_scaled" not in view:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        scale, a = view["_scaled"]
+        rows = tuple(tuple(map(Fraction, row, repeat(scale))) for row in a)
         object.__setattr__(self, "rows", rows)
+        return rows
 
     def __eq__(self, other: object) -> bool:
         # entries decide equality, not the runtime class: a plain matrix and
         # a DoublyStochasticMatrix with the same rows are the same matrix
         if isinstance(other, SquareMatrix):
-            return self.rows == other.rows
+            return self._scaled == other._scaled
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.rows)
-
-    @functools.cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The entries as integers over the lcm of their denominators
-        (``_integer_view``), built once per matrix."""
-        scale, a = _integer_view(self.rows)
-        return scale, tuple(map(tuple, a))
+        return hash(self._scaled)
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self._scaled[1])
 
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.order != other.order:
             raise DimensionMismatch(
                 f"orders differ: {self.order} vs {other.order}"
             )
-        cols = list(zip(*other.rows))
-        product = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
-        return SquareMatrix(product)
+        (s, a), (t, b) = self._scaled, other._scaled
+        cols = list(zip(*b))
+        product = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+        return SquareMatrix._from_ints(product, s * t)
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         return self.matmul(other)
 
     @staticmethod
     def identity(n: int) -> "SquareMatrix":
-        return SquareMatrix(
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
+        return SquareMatrix.from_permutation(range(n))
 
     @staticmethod
     def from_permutation(perm: Sequence[int]) -> "SquareMatrix":
@@ -109,29 +143,23 @@ class SquareMatrix:
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation of 0..n-1")
-        return SquareMatrix(
-            tuple(
-                tuple(ONE if perm[i] == j else ZERO for j in range(n))
-                for i in range(n)
-            )
+        return SquareMatrix._from_ints(
+            [[int(perm[i] == j) for j in range(n)] for i in range(n)], 1
         )
 
 
 class DoublyStochasticMatrix(SquareMatrix):
     """A square matrix with nonnegative entries and all line sums equal to one."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _settle(self, scale: int, a: Sequence[Sequence[int]]) -> None:
+        super()._settle(scale, a)
         if not is_doubly_stochastic(self):
             raise ValueError("matrix is not doubly stochastic")
 
 
 def uniform_mixing_matrix(n: int) -> DoublyStochasticMatrix:
     """The order-n matrix with every entry 1/n (full averaging)."""
-    cell = Fraction(1, n)
-    return DoublyStochasticMatrix(
-        tuple(tuple(cell for _ in range(n)) for _ in range(n))
-    )
+    return DoublyStochasticMatrix._from_ints([[1] * n for _ in range(n)], n)
 
 
 @dataclass(frozen=True)
@@ -192,7 +220,8 @@ def is_permutation(m: SquareMatrix) -> bool:
     """True iff every entry is 0 or 1 and the matrix is doubly stochastic."""
     if not is_doubly_stochastic(m):
         return False
-    return all(e == 0 or e == 1 for row in m.rows for e in row)
+    scale, a = m._scaled
+    return all(e == 0 or e == scale for row in a for e in row)
 
 
 def is_d_stochastic(m: SquareMatrix, d: WeightVector) -> bool:
@@ -217,11 +246,9 @@ def apply(w: WeightVector, m: SquareMatrix) -> WeightVector:
         raise LengthMismatch(f"vector length {w.n} vs matrix order {m.order}")
     if not isinstance(m, DoublyStochasticMatrix) and not is_doubly_stochastic(m):
         raise ValueError("matrix is not doubly stochastic")
-    n = w.n
-    mixed = tuple(
-        sum(w.weights[i] * m.rows[i][j] for i in range(n)) for j in range(n)
-    )
-    return WeightVector(mixed, w.labels)
+    scale, a = m._scaled
+    mixed = [sum(map(operator.mul, w._nums, col)) for col in zip(*a)]
+    return _from_ints(mixed, w._scale * scale, w.labels)
 
 
 def t_to_matrix(t: TTransform, n: int) -> DoublyStochasticMatrix:
@@ -233,23 +260,39 @@ def compose(steps: Iterable[TTransform], n: int) -> DoublyStochasticMatrix:
     """The order-n matrix of a transform chain, I @ T_1 @ ... @ T_m, exact.
 
     Right-multiplying by one transform mixes only columns j and k, so each
-    step costs O(n) rather than a dense O(n^3) product.  Rows where the two
-    columns already agree (all-zero pairs above all) are left as they are,
-    because averaging two equal entries changes neither.
+    step is O(n) integer work rather than a dense O(n^3) product.  Each
+    column is kept as integers over a scale of its own: a step with weight
+    p / q puts columns j and k on lcm(s_j, s_k) * q and mixes them with p
+    and q - p.  At the end the columns meet on the lcm of their scales and
+    one gcd makes the view canonical.
     """
-    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    scales = [1] * n
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
     for t in steps:
-        if t.j >= n or t.k >= n:
+        j, k = t.j, t.k
+        if j >= n or k >= n:
             raise IndexOutOfRange(
-                f"transform touches coordinate {max(t.j, t.k)} of an order-{n} matrix"
+                f"transform touches coordinate {max(j, k)} of an order-{n} matrix"
             )
-        lam, rest = t.lam, 1 - t.lam
-        cj, ck = cols[t.j], cols[t.k]
-        for i, (a, b) in enumerate(zip(cj, ck)):
-            if a != b:
-                cj[i] = lam * a + rest * b
-                ck[i] = lam * b + rest * a
-    return DoublyStochasticMatrix(tuple(zip(*cols)))
+        p, q = t.lam.numerator, t.lam.denominator
+        r = q - p
+        sj, sk = scales[j], scales[k]
+        common = math.lcm(sj, sk)
+        fj, fk = common // sj, common // sk
+        cj, ck = cols[j], cols[k]
+        if fj != 1:
+            cj = [x * fj for x in cj]
+        if fk != 1:
+            ck = [x * fk for x in ck]
+        cols[j] = [p * a + r * b for a, b in zip(cj, ck)]
+        cols[k] = [p * b + r * a for a, b in zip(cj, ck)]
+        scales[j] = scales[k] = common * q
+    scale = math.lcm(*scales)
+    for j, s in enumerate(scales):
+        if s != scale:
+            f = scale // s
+            cols[j] = [x * f for x in cols[j]]
+    return DoublyStochasticMatrix._from_ints(list(zip(*cols)), scale)
 
 
 def _t_step(scale: int, nums: Sequence[int], j: int, k: int, p: int, q: int) -> _Ints:
@@ -298,10 +341,15 @@ def muirhead_decompose(
     if not majorizes(beta, alpha):
         raise NotMajorized("source does not majorize target")
     n = beta.n
+    # both vectors as numerators over one scale; lam is a ratio of two
+    # numerator differences, so the scale cancels out of it
+    scale = math.lcm(beta._scale, alpha._scale)
+    b = [x * (scale // beta._scale) for x in beta._nums]
+    a = [x * (scale // alpha._scale) for x in alpha._nums]
 
-    order = sorted(range(n), key=lambda i: (-beta.weights[i], i))
-    current = [beta.weights[i] for i in order]
-    goal = sorted(alpha.weights, reverse=True)
+    order = sorted(range(n), key=lambda i: (-b[i], i))
+    current = [b[i] for i in order]
+    goal = sorted(a, reverse=True)
 
     steps: list[TTransform] = []
     while True:
@@ -312,24 +360,20 @@ def muirhead_decompose(
         j = surplus[-1]
         k = deficit[-1]
         delta = min(current[j] - goal[j], goal[k] - current[k])
-        lam = 1 - delta / (current[j] - current[k])
-        steps.append(TTransform(order[j], order[k], lam))
+        gap = current[j] - current[k]
+        steps.append(TTransform(order[j], order[k], Fraction(gap - delta, gap)))
         current[j] -= delta
         current[k] += delta
 
     # Values now sit in the source's sort order; route them to the target's
     # slots with selection-style swaps when the arrangements disagree.
-    placed = [ZERO] * n
+    placed = [0] * n
     for pos, value in zip(order, current):
         placed[pos] = value
     for i in range(n):
-        if placed[i] == alpha.weights[i]:
+        if placed[i] == a[i]:
             continue
-        source = next(
-            s
-            for s in range(i + 1, n)
-            if placed[s] == alpha.weights[i]
-        )
+        source = next(s for s in range(i + 1, n) if placed[s] == a[i])
         steps.append(TTransform(i, source, ZERO))
         placed[i], placed[source] = placed[source], placed[i]
     return steps

@@ -140,7 +140,19 @@ class WeightVector:
         return tuple(sorted(self.weights, reverse=True))
 
     def as_strings(self) -> tuple[str, ...]:
-        return tuple(str(w) for w in self.weights)
+        """The entries as ``str(Fraction)`` writes them, ``p/q`` or ``p``,
+        from the integer view: one gcd per entry, no Fraction built."""
+        return _rational_strings(self._nums, self._scale)
+
+
+def _rational_strings(nums: Iterable[int], scale: int) -> tuple[str, ...]:
+    """Each ``x / scale`` in lowest terms as ``str(Fraction)`` writes it."""
+    out = []
+    for x in nums:
+        g = math.gcd(x, scale)
+        q = scale // g
+        out.append(f"{x // g}/{q}" if q != 1 else str(x // g))
+    return tuple(out)
 
 
 def _checked_labels(

@@ -429,6 +429,33 @@ class TestCurveOutputIsPinned:
         assert out == (GOLDEN / expected).read_text()
 
 
+class TestRebalanceOutputIsPinned:
+    """Plans byte for byte: every step weight, intermediate, trade and the
+    practical turnover, for an equal-weight target, a target whose slot
+    order differs from the source's (relabelling swaps), and a source with
+    zero slots and ties."""
+
+    @pytest.mark.parametrize(
+        ("expected", "argv"),
+        [
+            (
+                "rebalance_equal.json",
+                ["rebalance_source.csv", "--cost-rate", "0.0025"],
+            ),
+            (
+                "rebalance_to_target.json",
+                ["rebalance_source.csv", "--target", "rebalance_target.json"],
+            ),
+            ("rebalance_ties_equal.json", ["rebalance_ties.csv"]),
+        ],
+    )
+    def test_stdout(self, expected, argv, capsys):
+        argv = [str(GOLDEN / a) if a.endswith((".json", ".csv")) else a for a in argv]
+        code, out, err = run_cli(["rebalance", *argv, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / expected).read_text()
+
+
 class TestMalformedFiles:
     """A field of the wrong JSON type exits 1 naming the file and the field;
     it is never read as some other allocation or left as a traceback."""

@@ -1,6 +1,7 @@
 """Weight, matrix, and plan file formats."""
 
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,7 +25,15 @@ from naivediv.fileio import (
     weights_to_dict,
     write_text,
 )
-from naivediv.matrices import uniform_mixing_matrix
+import naivediv.rebalancing
+from naivediv.matrices import (
+    TTransform,
+    apply_transform,
+    compose,
+    hlp_witness,
+    random_doubly_stochastic,
+    uniform_mixing_matrix,
+)
 from naivediv.measures import evaluate, get_measure
 from naivediv.preferences import aversion_squared, inequality_aversion_coefficient
 from naivediv.rebalancing import minimal_turnover_plan, rebalance_to
@@ -32,9 +41,11 @@ from naivediv.simplex import (
     WeightVector,
     as_fraction,
     compare,
+    random_weight_vector,
     uniform_vector,
     weight_vector,
 )
+from old_sampler import old_random_weight_vector
 
 REFERENCE = weight_vector(["1/2", "1/3", "1/6"])
 
@@ -446,6 +457,40 @@ class TestLoadedVectorsStayOnInts:
         assert w.weights == tuple(F(x) for x in w.as_strings())
         assert "weights" in vars(w)
 
+    def test_labeled_plan_round_trips_equal(self):
+        # intermediates are read back with the source's labels, as the
+        # replay gives them
+        source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
+        targets = (uniform_vector(3), weight_vector(["1/3", "1/2", "1/6"]),
+                   weight_vector(["5/12", "1/3", "1/4"]))
+        for target in targets:
+            plan = rebalance_to(source, target, cost_rate=0.01)
+            data = json.loads(json.dumps(plan_to_dict(plan, precision=17)))
+            rebuilt = plan_from_dict(data)
+            assert rebuilt == plan
+            assert all(w.labels == source.labels for w in rebuilt.intermediates)
+
+    def test_rebalancing_builds_no_rows_and_no_intermediate_weights(self, monkeypatch):
+        products = []
+        real = naivediv.rebalancing.compose
+
+        def recording(steps, n):
+            products.append(real(steps, n))
+            return products[-1]
+
+        monkeypatch.setattr(naivediv.rebalancing, "compose", recording)
+        w = random_weight_vector(random.Random(16), 16)
+        plan = rebalance_to(w, uniform_vector(16))
+        data = plan_to_dict(plan)
+        (product,) = products
+        assert plan.practical_turnover is not None
+        assert "rows" not in vars(product)
+        assert len(plan.intermediates) >= 15
+        assert not any("weights" in vars(v) for v in plan.intermediates)
+        assert data["intermediates"] == [
+            [str(x) for x in v.weights] for v in plan.intermediates
+        ]
+
     def test_labeled_plan_replays_and_validates(self, tmp_path):
         source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
         for target in (uniform_vector(3), weight_vector(["1/3", "1/2", "1/6"])):
@@ -460,6 +505,42 @@ class TestLoadedVectorsStayOnInts:
         data["intermediates"][0] = ["1/6", "1/2", "1/3"]
         with pytest.raises(ValueError, match="intermediate does not match its step"):
             plan_from_dict(data)
+
+
+class TestEntryRenderer:
+    """Entries are written from the integer view exactly as str(Fraction)
+    writes them."""
+
+    def test_vectors(self):
+        rng = random.Random(3)
+        vectors = [uniform_vector(1), uniform_vector(7), weight_vector(["0", "1", "0"]),
+                   weight_vector(["0", "1/4", "3/4"], ["a", "b", "c"])]
+        for n in range(1, 30):
+            vectors += [random_weight_vector(rng, n), old_random_weight_vector(rng, n)]
+            w = vectors[-2]
+            for _ in range(3):
+                j, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if n > 1:
+                    w = apply_transform(w, TTransform(j, k, F(rng.randint(0, 6), 6)))
+            vectors.append(w)
+        for w in vectors:
+            strings = w.as_strings()
+            assert strings == tuple(str(x) for x in w.weights)
+            assert weights_to_dict(w)["weights"] == list(strings)
+
+    def test_vectors_build_no_fractions(self):
+        w = random_weight_vector(random.Random(9), 12)
+        w.as_strings()
+        weights_to_dict(w)
+        assert "weights" not in vars(w)
+
+    def test_matrices(self):
+        rng = random.Random(4)
+        for n in range(1, 9):
+            w = random_weight_vector(rng, n)
+            for m in (hlp_witness(w, uniform_vector(n)), uniform_mixing_matrix(n),
+                      random_doubly_stochastic(rng.randrange(10**6), n, k=3)):
+                assert matrix_to_dict(m)["entries"] == [[str(e) for e in row] for row in m.rows]
 
 
 class TestWriteText:

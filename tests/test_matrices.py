@@ -1,6 +1,8 @@
 """Doubly stochastic matrices, transforms, decompositions, witnesses."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -9,7 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import majorization_pairs, weight_vectors
-from old_sampler import old_random_majorization_pair, old_random_strict_majorization_pair
+from old_chain import old_compose, old_muirhead_decompose
+from old_sampler import (
+    old_random_majorization_pair,
+    old_random_strict_majorization_pair,
+    old_random_weight_vector,
+)
 import naivediv.lp
 import naivediv.matrices
 import naivediv.measures
@@ -45,6 +52,7 @@ from naivediv.matrices import (
 from naivediv.rebalancing import polytope_membership, rebalance_to
 from naivediv.simplex import (
     WeightVector,
+    _integer_view,
     majorizes,
     random_weight_vector,
     uniform_vector,
@@ -56,6 +64,80 @@ SWAP2 = SquareMatrix(((F(0), F(1)), (F(1), F(0))))
 
 def full_mix(n):
     return uniform_mixing_matrix(n)
+
+
+def dense_product(a, b):
+    """The Fraction definition of a @ b."""
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b.rows))
+        for row in a.rows
+    )
+
+
+class TestSquareMatrixIntegerView:
+    """A matrix's state is its canonical integer view; the Fraction rows
+    are built on first read, and the dataclass contract is unchanged."""
+
+    def test_equal_matrices_built_every_way(self):
+        rows = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+        built = [
+            SquareMatrix(rows),
+            SquareMatrix((("1/2", "0.5"), ("2/4", "1/2"))),
+            DoublyStochasticMatrix(rows),
+            uniform_mixing_matrix(2),
+            compose([TTransform(0, 1, F(1, 2))], 2),
+        ]
+        for m in built:
+            assert m == built[0] and hash(m) == hash(built[0])
+            assert m._scaled == (2, ((1, 1), (1, 1)))
+            assert m.rows == rows
+        assert SquareMatrix.identity(2) != built[0]
+        assert SquareMatrix.identity(2) == SquareMatrix(((1, 0), (0, 1)))
+
+    def test_rows_are_built_on_first_read_and_cached(self):
+        m = compose([TTransform(0, 2, F(1, 3)), TTransform(1, 2, F(1, 4))], 3)
+        assert "rows" not in vars(m)
+        rows = m.rows
+        assert m.rows is rows and vars(m)["rows"] is rows
+        assert all(isinstance(e, F) for row in rows for e in row)
+        with pytest.raises(AttributeError):
+            m.entries
+
+    def test_repr_pickle_and_copies(self):
+        m = compose([TTransform(0, 2, F(1, 3)), TTransform(1, 2, F(1, 4))], 3)
+        twins = [pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)]
+        assert repr(m) == f"DoublyStochasticMatrix(rows={m.rows!r})"
+        plain = SquareMatrix(m.rows)
+        assert repr(plain) == f"SquareMatrix(rows={m.rows!r})"
+        twins += [pickle.loads(pickle.dumps(m)), copy.deepcopy(m)]
+        for twin in twins:
+            assert type(twin) is DoublyStochasticMatrix
+            assert twin == m and twin.rows == m.rows and twin._scaled == m._scaled
+
+    def test_matmul_matches_the_fraction_product(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            a = random_doubly_stochastic(rng.randrange(10**6), n, k=rng.randint(1, 3))
+            b = SquareMatrix(
+                tuple(
+                    tuple(F(rng.randint(-3, 5), rng.randint(1, 6)) for _ in range(n))
+                    for _ in range(n)
+                )
+            )
+            for x, y in ((a, b), (b, a), (a, a)):
+                product = x @ y
+                assert type(product) is SquareMatrix
+                assert product.rows == dense_product(x, y)
+                assert product == SquareMatrix(dense_product(x, y))
+
+    def test_shape_and_stochasticity_are_checked(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            SquareMatrix(())
+        with pytest.raises(DimensionMismatch):
+            SquareMatrix(((1, 0),))
+        with pytest.raises(ValueError, match="not doubly stochastic"):
+            DoublyStochasticMatrix(((1, 1), (0, 0)))
 
 
 class TestPredicates:
@@ -270,6 +352,66 @@ class TestApply:
         out = apply(w, m)
         assert majorizes(w, out)
 
+    def test_matches_the_fraction_product(self):
+        # oracle: sum of w_i * m_ij over Fraction rows; the result is
+        # labelled like w and its view canonical
+        rng = random.Random(77)
+        for _ in range(80):
+            n = rng.randint(2, 7)
+            v, cases = checker_cases(rng, n)
+            labels = [f"s{i}" for i in range(n)] if rng.random() < 0.5 else None
+            for w in (random_weight_vector(rng, n), old_random_weight_vector(rng, n), v):
+                w = WeightVector(w.weights, labels)
+                for m in cases:
+                    if not doubly_stochastic_by_definition(m):
+                        continue
+                    want = tuple(
+                        sum((w.weights[i] * m.rows[i][j] for i in range(n)), F(0))
+                        for j in range(n)
+                    )
+                    got = apply(w, m)
+                    assert got == WeightVector(want, labels)
+                    scale, (nums,) = _integer_view((want,))
+                    assert (got._scale, got._nums) == (scale, tuple(nums))
+
+    def test_reads_no_fraction_rows(self):
+        w = random_weight_vector(random.Random(5), 8)
+        m = hlp_witness(w, uniform_vector(8))
+        assert apply(w, m) == uniform_vector(8)
+        assert is_permutation(m) is False
+        assert "rows" not in vars(m)
+
+
+def permutation_by_definition(m):
+    """The Fraction-by-Fraction definition behind is_permutation."""
+    return doubly_stochastic_by_definition(m) and all(
+        e == 0 or e == 1 for row in m.rows for e in row
+    )
+
+
+class TestIsPermutationAgainstTheDefinition:
+    def test_verdicts_match(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            p = SquareMatrix.from_permutation(perm)
+            cases = [p, SquareMatrix(p.rows), DoublyStochasticMatrix(p.rows)]
+            # 0/1 entries that are not a permutation: a repeated column
+            twice = [list(row) for row in p.rows]
+            twice[0] = list(twice[-1])
+            cases.append(SquareMatrix(tuple(map(tuple, twice))))
+            if n > 1:
+                cases += checker_cases(rng, n)[1]
+                cases.append(SquareMatrix(tuple(tuple(F(2) * e for e in row) for row in p.rows)))
+            for m in cases:
+                got = is_permutation(m)
+                assert got == permutation_by_definition(m), m
+                seen.add(got)
+        assert seen == {True, False}
+
 
 class TestTTransform:
     def test_lambda_bounds(self):
@@ -359,6 +501,67 @@ class TestCompose:
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexOutOfRange):
             compose([TTransform(0, 3, F(1, 2))], 3)
+
+
+def chain_cases(rng, n):
+    """(beta, alpha) pairs at order n: sampler and lattice sources, ties,
+    zero slots, labels, and targets equal, smoothed, and permuted (so the
+    relabelling phase has swaps to make)."""
+    sources = [random_weight_vector(rng, n), old_random_weight_vector(rng, n)]
+    counts = [rng.choice([0, 0, 1, 1, 3, 8]) for _ in range(n)]
+    counts[rng.randrange(n)] += 1
+    sources.append(WeightVector(tuple(F(c, sum(counts)) for c in counts)))
+    labels = tuple(f"asset{i}" for i in range(n))
+    sources.append(WeightVector(sources[0].weights, labels))
+    for beta in sources:
+        yield beta, uniform_vector(n)
+        yield beta, beta
+        if n < 2:
+            continue
+        alpha = beta
+        for _ in range(rng.randint(1, n)):
+            j, k = rng.sample(range(n), 2)
+            alpha = apply_transform(alpha, TTransform(j, k, F(rng.randint(0, 8), 8)))
+        yield beta, alpha
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield beta, WeightVector(tuple(alpha.weights[i] for i in perm))
+        yield beta, WeightVector(tuple(beta.weights[i] for i in perm))
+
+
+class TestChainAgainstTheFractionChain:
+    """The integer chain builder and composer give the Fraction versions'
+    steps and matrices exactly."""
+
+    def test_same_steps_and_matrices(self):
+        rng = random.Random(31)
+        swaps = ties = 0
+        for n in range(1, 21):
+            for beta, alpha in chain_cases(rng, n):
+                steps = muirhead_decompose(beta, alpha)
+                assert steps == old_muirhead_decompose(beta, alpha)
+                product = compose(steps, n)
+                oracle = old_compose(steps, n)
+                assert product == oracle
+                assert product.rows == oracle.rows
+                scale, a = _integer_view(oracle.rows)
+                assert product._scaled == (scale, tuple(map(tuple, a)))
+                assert apply(beta, product).weights == alpha.weights
+                swaps += any(t.lam == 0 for t in steps)
+                ties += len(set(beta.weights)) < n
+        assert swaps > 50 and ties > 20
+
+    @given(majorization_pairs(min_n=1, max_n=7))
+    def test_hypothesis_pairs(self, pair):
+        alpha, beta = pair
+        steps = muirhead_decompose(beta, alpha)
+        assert steps == old_muirhead_decompose(beta, alpha)
+        assert compose(steps, beta.n) == old_compose(steps, beta.n)
+
+    @given(transform_chains(max_n=8, max_steps=14))
+    def test_arbitrary_chains(self, chain):
+        steps, n = chain
+        assert compose(steps, n).rows == old_compose(steps, n).rows
 
 
 class TestMuirheadDecompose:
@@ -579,6 +782,8 @@ def test_random_strict_majorization_pair_matches_its_old_body():
 
 
 def test_matrix_integer_view_is_built_once_per_rebalance(monkeypatch):
+    # the chain is composed on ints, so no Fraction rows are turned into a
+    # view and none are built for the product
     n = 9
     w = random_weight_vector(random.Random(4), n)
     real = naivediv.simplex._integer_view
@@ -592,9 +797,18 @@ def test_matrix_integer_view_is_built_once_per_rebalance(monkeypatch):
     for module in (naivediv.simplex, naivediv.matrices, naivediv.rebalancing, naivediv.lp, naivediv.measures):
         if hasattr(module, "_integer_view"):
             monkeypatch.setattr(module, "_integer_view", counting)
+    products = []
+
+    def recording(steps, order):
+        products.append(compose(steps, order))
+        return products[-1]
+
+    monkeypatch.setattr(naivediv.rebalancing, "compose", recording)
     plan = rebalance_to(w, uniform_vector(n))
     assert plan.practical_turnover is not None
-    assert len(matrix_views) == 1
+    assert len(matrix_views) == 0
+    (product,) = products
+    assert "rows" not in vars(product)
 
 
 def test_membership_checks_build_no_view_for_their_vectors(monkeypatch):
