@@ -6,6 +6,18 @@ reading at a terminal.  Exit codes: 0 for any successfully computed
 verdict (including negative ones), 1 for input or usage problems, 2 when
 a requested rebalance is mathematically impossible because the source
 does not majorize the target.
+
+Every process loads this module, ``fileio``, ``simplex`` and ``errors``;
+each handler imports the rest of what it runs, so a subcommand loads only
+its own modules:
+
+    compare                preferences (none with --lorenz)
+    lorenz                 none
+    aversion               preferences
+    measures, schur-check  measures
+    axioms                 measures, matrices
+    rebalance              rebalancing, matrices
+    multi-check            matrices, lp
 """
 
 from __future__ import annotations
@@ -21,21 +33,6 @@ from typing import Sequence
 
 from . import fileio
 from .errors import NotMajorized
-from .matrices import multivariate_feasible
-from .measures import (
-    axiom_suite,
-    ambient_utility,
-    evaluate,
-    get_measure,
-    registry,
-    schur_ostrowski_report,
-)
-from .preferences import (
-    _FROM_RELATION,
-    aversion_squared,
-    inequality_aversion_coefficient,
-)
-from .rebalancing import rebalance_to
 from .simplex import (
     _curve_values,
     compare,
@@ -273,6 +270,8 @@ def _cmd_compare(args, config: CliConfig) -> int:
         relation = lorenz_dominates(lorenz_curve(first), lorenz_curve(second))
         pairs = [("relation", relation.value)]
     else:
+        from .preferences import _FROM_RELATION
+
         relation = compare(first, second)
         pairs = [
             ("relation", relation.value),
@@ -283,6 +282,8 @@ def _cmd_compare(args, config: CliConfig) -> int:
 
 
 def _cmd_measures(args, config: CliConfig) -> int:
+    from .measures import evaluate, get_measure, registry
+
     w = fileio.load_weights(args.weights)
     ids = args.measures if args.measures else [m.id for m in registry()]
     values = [(mid, evaluate(get_measure(mid), w)) for mid in ids]
@@ -308,6 +309,8 @@ def _cmd_measures(args, config: CliConfig) -> int:
 
 
 def _cmd_rebalance(args, config: CliConfig) -> int:
+    from .rebalancing import rebalance_to
+
     source = fileio.load_weights(args.weights)
     if args.target == "equal":
         target = uniform_vector(source.n)
@@ -340,6 +343,8 @@ def _cmd_lorenz(args, config: CliConfig) -> int:
 
 
 def _cmd_axioms(args, config: CliConfig) -> int:
+    from .measures import axiom_suite, get_measure
+
     measure = get_measure(args.measure)
     report = axiom_suite(measure, seed=config.seed, samples=args.samples, n=args.n)
     _emit(_render_json(report.to_json_dict()), config)
@@ -347,6 +352,8 @@ def _cmd_axioms(args, config: CliConfig) -> int:
 
 
 def _cmd_aversion(args, config: CliConfig) -> int:
+    from .preferences import aversion_squared, inequality_aversion_coefficient
+
     d = fileio.load_weights(args.weights)
     squared = aversion_squared(d)
     coefficient = inequality_aversion_coefficient(d)
@@ -364,6 +371,8 @@ def _cmd_aversion(args, config: CliConfig) -> int:
 
 
 def _cmd_schur_check(args, config: CliConfig) -> int:
+    from .measures import ambient_utility, get_measure, schur_ostrowski_report
+
     measure = get_measure(args.measure)
     point = fileio.load_weights(args.weights)
     report = schur_ostrowski_report(
@@ -386,6 +395,8 @@ def _cmd_schur_check(args, config: CliConfig) -> int:
 
 
 def _cmd_multi_check(args, config: CliConfig) -> int:
+    from .matrices import multivariate_feasible
+
     target_rows = fileio.load_allocation_rows(args.target_rows)
     source_rows = fileio.load_allocation_rows(args.source_rows)
     witness = multivariate_feasible(target_rows, source_rows)

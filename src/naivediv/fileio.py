@@ -24,10 +24,8 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .matrices import SquareMatrix, TTransform
-from .rebalancing import RebalancePlan
 from .simplex import (
     WeightVector,
     _checked_labels,
@@ -35,6 +33,12 @@ from .simplex import (
     _rational_strings,
     as_fraction,
 )
+
+# Only the matrix and plan readers build these types; they import them in
+# their bodies, so that loading weights does not load matrices.
+if TYPE_CHECKING:
+    from .matrices import SquareMatrix
+    from .rebalancing import RebalancePlan
 
 
 def _rational_pair(value: object) -> tuple[int, int]:
@@ -179,6 +183,8 @@ def _entries(path: Path) -> tuple[dict, list[list]]:
 
 def load_square_matrix(path: str | Path) -> SquareMatrix:
     """Read a square rational matrix from its JSON file form."""
+    from .matrices import SquareMatrix
+
     data, grid = _entries(Path(path))
     rows = tuple(tuple(parse_rational(e) for e in row) for row in grid)
     matrix = SquareMatrix(rows)
@@ -251,6 +257,9 @@ def _plan_scalar(value: object, what: str, kind: str) -> int | float:
 
 def plan_from_dict(data: dict) -> RebalancePlan:
     """Rebuild a plan from its JSON form; replay is re-verified on construction."""
+    from .matrices import TTransform
+    from .rebalancing import RebalancePlan
+
     source = _weights_from_dict(data["source"], "plan data: 'source'")
     target = _weights_from_dict(data["target"], "plan data: 'target'")
     steps = tuple(

@@ -28,7 +28,6 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from . import lp
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -413,6 +412,10 @@ def _mixing_witness(
             coeffs[c :: n] = u
             rows.append(coeffs)
             rhs.append(v[c])
+    # imported here, not at the top: only the LP builder needs lp, and
+    # `naivediv rebalance` loads matrices without it
+    from . import lp
+
     solution = lp.solve_equality_feasibility(rows, rhs)
     if solution is None:
         return None

@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, NotMajorized, UnknownMeasure
-from .matrices import random_majorization_pair, random_strict_majorization_pair
 from .simplex import (
     WeightVector,
+    _hoover_exact,
     _sum_of_squares,
     _view,
     as_fraction,
@@ -147,14 +147,6 @@ def _hhi_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
 def _hoover_ambient(xs: Sequence[float]) -> float:
     share = 1.0 / len(xs)
     return math.fsum(abs(x - share) for x in xs) / 2
-
-
-def _hoover_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
-    # the mass that moves to reach equal weights (rebalancing.turnover):
-    # half the sum of |x / scale - 1 / n|, over the common scale n * scale
-    n = len(ws)
-    scale, xs = _view(ws)
-    return Fraction(sum(abs(n * x - scale) for x in xs), 2 * n * scale)
 
 
 def _atkinson_ambient(eps: Fraction) -> AmbientFn:
@@ -382,6 +374,10 @@ def axiom_suite(
         # every allocation of one slot is the uniform one, so no sample can
         # be bounded away from it
         raise ValueError("axioms need at least two slots")
+    # imported here, not at the top: only this harness samples pairs, and
+    # `naivediv measures` need not load matrices
+    from .matrices import random_majorization_pair, random_strict_majorization_pair
+
     rng = random.Random(seed)
 
     points = [uniform_vector(n)]

@@ -30,10 +30,10 @@ from .matrices import (
     muirhead_decompose,
     uniform_mixing_matrix,
 )
-from .measures import _hoover_exact
 from .simplex import (
     RationalLike,
     WeightVector,
+    _hoover_exact,
     _view,
     as_fraction,
     half_l1,
@@ -187,6 +187,13 @@ def _default_labels(w: WeightVector) -> tuple[str, ...]:
     return tuple(f"w{i}" for i in range(1, w.n + 1))
 
 
+def _trade_deltas(w: WeightVector, target: WeightVector) -> tuple[Fraction, ...]:
+    """``target - w`` slot by slot, each ``(t * s - x * u) / (s * u)`` from
+    the integer views ``x / s`` of ``w`` and ``t / u`` of ``target``."""
+    (s, xs), (u, ts) = _view(w), _view(target)
+    return tuple(Fraction(t * s - x * u, s * u) for x, t in zip(xs, ts))
+
+
 def _check_cost_field(name: str, value: float) -> None:
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -227,10 +234,7 @@ class RebalancePlan:
         if self.turnover != half_l1(self.source, self.target):
             raise ValueError("turnover does not match source and target")
         deltas = tuple(delta for _, delta in self.trades)
-        expected = tuple(
-            t - s for s, t in zip(self.source.weights, self.target.weights)
-        )
-        if deltas != expected:
+        if deltas != _trade_deltas(self.source, self.target):
             raise ValueError("trades must equal target minus source")
         if tuple(label for label, _ in self.trades) != _default_labels(self.source):
             raise ValueError("trade labels must be the source's slot labels")
@@ -265,11 +269,7 @@ def rebalance_to(
         intermediates.append(current)
 
     tau = half_l1(w, target)
-    labels = _default_labels(w)
-    trades = tuple(
-        (label, t_i - w_i)
-        for label, w_i, t_i in zip(labels, w.weights, target.weights)
-    )
+    trades = tuple(zip(_default_labels(w), _trade_deltas(w, target)))
     cost = float(cost_rate) * float(2 * tau)
 
     practical: float | None = None

@@ -375,6 +375,14 @@ def half_l1(
     return Fraction(sum(abs(x * b - y * a) for x, y in zip(xs, ys)), 2 * a * b)
 
 
+def _hoover_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
+    # the mass that moves to reach equal weights (rebalancing.turnover):
+    # half the sum of |x / scale - 1 / n|, over the common scale n * scale
+    n = len(ws)
+    scale, xs = _view(ws)
+    return Fraction(sum(abs(n * x - scale) for x in xs), 2 * n * scale)
+
+
 @dataclass(frozen=True)
 class LorenzCurve:
     """Piecewise-linear cumulative-share curve of an allocation.

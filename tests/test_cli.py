@@ -206,24 +206,6 @@ class TestRebalance:
         assert out == ""
         assert "cost rate" in err
 
-    def test_scipy_is_not_imported(self, tmp_path):
-        path = tmp_path / "eight.json"
-        path.write_text(
-            json.dumps({"weights": ["1/3", "1/4", "1/8", "1/12", "1/12", "1/24", "1/24", "1/24"]})
-        )
-        script = (
-            "import sys\n"
-            "from naivediv.cli import main\n"
-            f"code = main(['rebalance', {str(path)!r}])\n"
-            "print('scipy' in sys.modules, code, file=sys.stderr)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout)["practical_turnover"] is not None
-        assert done.stderr.split() == ["False", "0"]
-
     def test_out_file(self, reference_file, tmp_path, capsys):
         out_path = tmp_path / "plan.json"
         code, out, _ = run_cli(
@@ -402,6 +384,62 @@ class TestMultiCheck:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestImportSets:
+    """A fresh process loads only the modules its subcommand runs, and never
+    scipy, whether started as ``python -m naivediv.cli`` or through
+    ``from naivediv.cli import main``.  The loaded modules are read from
+    ``-X importtime``, which lists every module a process imports."""
+
+    #: what the order and distance subcommands, and the measure ones, leave out
+    NOT_FOR_ORDER = {"lp", "matrices", "measures", "rebalancing"}
+    NOT_FOR_MEASURES = {"lp", "matrices", "rebalancing", "preferences"}
+
+    @pytest.mark.parametrize(
+        ("argv", "not_loaded"),
+        [
+            pytest.param(["compare", "W", "W"], NOT_FOR_ORDER, id="compare"),
+            pytest.param(["compare", "--lorenz", "W", "W"], NOT_FOR_ORDER, id="compare-lorenz"),
+            pytest.param(["lorenz", "W"], NOT_FOR_ORDER, id="lorenz"),
+            pytest.param(["aversion", "W"], NOT_FOR_ORDER, id="aversion"),
+            pytest.param(["measures", "W"], NOT_FOR_MEASURES, id="measures"),
+            pytest.param(["schur-check", "W", "--measure", "hhi"], NOT_FOR_MEASURES, id="schur-check"),
+            pytest.param(["rebalance", "W"], {"lp", "measures", "preferences"}, id="rebalance"),
+            pytest.param(
+                ["multi-check", str(GOLDEN / "multi_check_targets.json"),
+                 str(GOLDEN / "multi_check_sources.json")],
+                {"measures", "rebalancing", "preferences"},
+                id="multi-check",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["module", "main"])
+    def test_loads_only_what_it_runs(self, argv, not_loaded, entry, tmp_path):
+        path = tmp_path / "eight.json"
+        path.write_text(
+            json.dumps({"weights": ["1/3", "1/4", "1/8", "1/12", "1/12", "1/24", "1/24", "1/24"]})
+        )
+        argv = [str(path) if a == "W" else a for a in argv]
+        if entry == "module":
+            command = ["-m", "naivediv.cli", *argv]
+        else:
+            command = ["-c", f"import sys; from naivediv.cli import main; sys.exit(main({argv!r}))"]
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", *command],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"naivediv.simplex", "naivediv.fileio"} <= loaded
+        assert not loaded & {f"naivediv.{m}" for m in not_loaded}
+        assert "scipy" not in loaded
+        if argv[0] == "rebalance":
+            assert json.loads(done.stdout)["practical_turnover"] is not None
 
 
 class TestCurveOutputIsPinned:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import weight_vectors
+from old_sampler import old_random_weight_vector
 from naivediv.errors import (
     DimensionMismatch,
     LengthMismatch,
@@ -17,7 +18,9 @@ from naivediv.errors import (
 )
 from naivediv.matrices import (
     SquareMatrix,
+    TTransform,
     apply,
+    apply_transform,
     random_doubly_stochastic,
     uniform_mixing_matrix,
 )
@@ -36,6 +39,7 @@ from naivediv.rebalancing import (
     turnover_vector,
 )
 from naivediv.simplex import (
+    WeightVector,
     random_weight_vector,
     uniform_vector,
     weight_vector,
@@ -370,6 +374,53 @@ class TestRebalancePlans:
                 for i in range(4)
             )
             assert moved == expected
+
+
+class TestTradesOnIntegerViews:
+    """Trades are built from the two integer views; they equal the Fraction
+    subtraction target - source, and a plan whose trade is off by the
+    smallest step of those views is still rejected."""
+
+    @staticmethod
+    def sources(rng, n):
+        counts = [rng.choice([0, 0, 1, 3, 8]) for _ in range(n)]
+        counts[rng.randrange(n)] += 1
+        lattice = random_weight_vector(rng, n)
+        return [
+            lattice,
+            old_random_weight_vector(rng, n),
+            WeightVector(tuple(F(c, sum(counts)) for c in counts)),
+            WeightVector(lattice.weights, tuple(f"asset{i}" for i in range(n))),
+        ]
+
+    def test_equal_the_fraction_subtraction(self):
+        rng = random.Random(23)
+        for n in range(2, 10):
+            for w in self.sources(rng, n):
+                smoothed = w
+                for _ in range(n):
+                    j, k = rng.sample(range(n), 2)
+                    smoothed = apply_transform(smoothed, TTransform(j, k, F(rng.randint(0, 7), 7)))
+                for target in (uniform_vector(n), smoothed, w):
+                    plan = rebalance_to(w, target)
+                    expected = tuple(t - x for x, t in zip(w.weights, target.weights))
+                    assert tuple(delta for _, delta in plan.trades) == expected
+                    assert all(type(delta) is F for _, delta in plan.trades)
+
+                    (label, delta), *rest = plan.trades
+                    nudge = F(1, w._scale * target._scale)
+                    with pytest.raises(ValueError, match="trades"):
+                        RebalancePlan(
+                            source=plan.source,
+                            target=plan.target,
+                            steps=plan.steps,
+                            intermediates=plan.intermediates,
+                            turnover=plan.turnover,
+                            trades=((label, delta + nudge), *rest),
+                            practical_turnover=plan.practical_turnover,
+                            cost=plan.cost,
+                            cost_rate=plan.cost_rate,
+                        )
 
 
 class TestBulkPlanValidity:
