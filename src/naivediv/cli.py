@@ -28,13 +28,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from heapq import merge
+from itertools import groupby
 from typing import Sequence
 
 from . import fileio
 from .errors import NotMajorized
 from .simplex import (
-    _curve_values,
+    _lorenz_ints,
+    _rational_strings,
     compare,
     lorenz_curve,
     lorenz_dominates,
@@ -323,22 +325,29 @@ def _cmd_rebalance(args, config: CliConfig) -> int:
 
 def _cmd_lorenz(args, config: CliConfig) -> int:
     w = fileio.load_weights(args.weights)
-    curve = lorenz_curve(w)
-    own = dict(curve.points)
-    grid = {Fraction(i, args.points) for i in range(args.points + 1)} if args.points else set()
-    # the curve's own points, and its values at the grid abscissas between them
-    between = sorted(grid - own.keys())
-    rows = sorted([*own.items(), *zip(between, _curve_values(curve._view, between))])
+    n, _, scale, ys = _lorenz_ints(w)
+    # Abscissas count 1/L with L = lcm(n, N): breakpoint k sits at k * L / n
+    # and grid point i at i * L / N.  With no grid, N = 1 adds only the two
+    # end points, which are breakpoints already.
+    grid = args.points or 1
+    span = math.lcm(n, grid)
+    progressions = (range(0, span + 1, span // m) for m in (n, grid))
+    ticks = [x for x, _ in groupby(merge(*progressions))]
+    # the value at x / L, over scale * L, on the segment from breakpoint k
+    values = []
+    for x in ticks:
+        k, r = divmod(x * n, span)
+        values.append(ys[k] * span + (ys[k + 1] - ys[k]) * r if r else ys[k] * span)
+    columns = (ticks, span), (values, scale * span)
     if config.format == "json":
-        payload = [{"t": str(t), "value": str(v)} for t, v in rows]
+        ts, vs = (_rational_strings(*column) for column in columns)
+        payload = [{"t": t, "value": v} for t, v in zip(ts, vs)]
         _emit(_render_json({"points": payload}), config)
         return 0
+    ts, vs = ([_fmt(x / s, config) for x in xs] for xs, s in columns)
     sep = "," if config.format == "csv" else "  "
     lines = ["t,L(t)"] if config.format == "csv" else []
-    lines += [
-        f"{_fmt(float(t), config)}{sep}{_fmt(float(v), config)}" for t, v in rows
-    ]
-    _emit("\n".join(lines), config)
+    _emit("\n".join(lines + [f"{t}{sep}{v}" for t, v in zip(ts, vs)]), config)
     return 0
 
 

@@ -39,7 +39,6 @@ from .simplex import (
     _from_ints,
     _integer_view,
     _sampler_counts,
-    _view,
     as_fraction,
     majorizes,
     random_weight_vector,
@@ -92,6 +91,18 @@ class SquareMatrix:
         m = object.__new__(cls)
         m._settle(scale, a)
         return m
+
+    @classmethod
+    def _mixture(
+        cls, weights: Sequence[int], members: Sequence["SquareMatrix"]
+    ) -> "SquareMatrix":
+        """The convex combination sum(c * m) / sum(c) of ``members`` with
+        nonnegative int ``weights`` of positive sum, on the integer views."""
+        scale = math.lcm(*(m._scaled[0] for m in members))
+        factors = [c * (scale // m._scaled[0]) for c, m in zip(weights, members)]
+        grids = zip(*(m._scaled[1] for m in members))
+        a = [[sum(map(operator.mul, factors, e)) for e in zip(*rows)] for rows in grids]
+        return cls._from_ints(a, scale * sum(weights))
 
     def __getattr__(self, name: str) -> tuple[tuple[Fraction, ...], ...]:
         # reached only when normal lookup fails: ``rows`` not built yet
@@ -231,7 +242,7 @@ def is_d_stochastic(m: SquareMatrix, d: WeightVector) -> bool:
     """
     if d.n != m.order:
         raise DimensionMismatch(f"matrix order {m.order} vs vector length {d.n}")
-    return _carries(m, [(_view(d), _view(d))])
+    return _carries(m, [((d._scale, d._nums),) * 2])
 
 
 def apply(w: WeightVector, m: SquareMatrix) -> WeightVector:
@@ -391,7 +402,7 @@ def hlp_witness(
 
 
 def _mixing_witness(
-    pairs: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]], n: int
+    pairs: Sequence[tuple[_Ints, _Ints]], n: int
 ) -> tuple[tuple[Fraction, ...], ...] | None:
     """Rows of an order-n P >= 0 whose rows sum to 1 with u @ P == v for
     every pair, found by the exact LP; None when no such P exists.
@@ -406,12 +417,13 @@ def _mixing_witness(
         coeffs[r * n : (r + 1) * n] = [ONE] * n
         rows.append(coeffs)
         rhs.append(ONE)
-    for u, v in pairs:
+    for (u_scale, us), (v_scale, vs) in pairs:
+        u = [Fraction(x, u_scale) for x in us]
         for c in range(n):
             coeffs = [ZERO] * (n * n)
             coeffs[c :: n] = u
             rows.append(coeffs)
-            rhs.append(v[c])
+            rhs.append(Fraction(vs[c], v_scale))
     # imported here, not at the top: only the LP builder needs lp, and
     # `naivediv rebalance` loads matrices without it
     from . import lp
@@ -443,8 +455,11 @@ def multivariate_feasible(
         raise DimensionMismatch("all rows must share one length")
     if not all(map(majorizes, y_rows, x_rows)):
         return None
-    ones = (ONE,) * n
-    pairs = [(ones, ones)] + [(y.weights, x.weights) for x, y in zip(x_rows, y_rows)]
+    ones = (1, (1,) * n)
+    pairs = [(ones, ones)]
+    pairs += [
+        ((y._scale, y._nums), (x._scale, x._nums)) for x, y in zip(x_rows, y_rows)
+    ]
     entries = _mixing_witness(pairs, n)
     return None if entries is None else DoublyStochasticMatrix(entries)
 
@@ -459,7 +474,8 @@ def d_stochastic_witness(
     """
     if beta.n != alpha.n or beta.n != d.n:
         raise LengthMismatch("all three vectors must share one length")
-    pairs = [(d.weights, d.weights), (beta.weights, alpha.weights)]
+    d_view = d._scale, d._nums
+    pairs = [(d_view, d_view), ((beta._scale, beta._nums), (alpha._scale, alpha._nums))]
     entries = _mixing_witness(pairs, beta.n)
     return None if entries is None else SquareMatrix(entries)
 
@@ -480,17 +496,8 @@ def random_doubly_stochastic(
         p = list(range(n))
         rng.shuffle(p)
         perms.append(SquareMatrix.from_permutation(p))
-    raw = [Fraction(rng.randint(1, 1000)) for _ in range(k)]
-    total = sum(raw)
-    coeffs = [x / total for x in raw]
-    rows = tuple(
-        tuple(
-            sum(c * p.rows[i][j] for c, p in zip(coeffs, perms))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return DoublyStochasticMatrix(rows)
+    raw = [rng.randint(1, 1000) for _ in range(k)]
+    return DoublyStochasticMatrix._mixture(raw, perms)
 
 
 def random_majorization_pair(

@@ -29,7 +29,6 @@ from .simplex import (
     WeightVector,
     _hoover_exact,
     _sum_of_squares,
-    _view,
     as_fraction,
     majorizes,
     random_weight_vector,
@@ -54,7 +53,7 @@ class Direction(Enum):
 
 
 AmbientFn = Callable[[Sequence[float]], float]
-ExactFn = Callable[[WeightVector | Sequence[Fraction]], Fraction]
+ExactFn = Callable[[WeightVector], Fraction]
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class MeasureSpec:
 
 # --------------------------------------------------------------------------
 # Formulas.  Ambient versions take raw floats; exact versions take a weight
-# vector (and read its integer view) or a plain sequence of Fractions.
+# vector and read its integer view.
 # --------------------------------------------------------------------------
 
 
@@ -106,26 +105,26 @@ def _entropy_index_ambient(xs: Sequence[float]) -> float:
 
 
 def _gini_ambient(xs: Sequence[float]) -> float:
-    n = len(xs)
-    total = math.fsum(abs(a - b) for a in xs for b in xs)
-    return total / (n * n)
-
-
-def _gini_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
     # sum over all pairs |a - b| == 2 * sum_i (2i - n - 1) * x_(i), with x
-    # ascending and i = 1..n; on one integer scale the sort compares ints.
-    n = len(ws)
-    scale, xs = _view(ws)
-    total = sum((2 * i - n - 1) * x for i, x in enumerate(sorted(xs), 1))
-    return Fraction(2 * total, n * n * scale)
+    # ascending and i = 1..n: one sort, not n^2 terms, and exactly symmetric
+    n = len(xs)
+    total = math.fsum((2 * i - n - 1) * x for i, x in enumerate(sorted(xs), 1))
+    return 2 * total / (n * n)
+
+
+def _gini_exact(w: WeightVector) -> Fraction:
+    # the sorted form of _gini_ambient, sorting ints on one scale
+    n = w.n
+    total = sum((2 * i - n - 1) * x for i, x in enumerate(sorted(w._nums), 1))
+    return Fraction(2 * total, n * n * w._scale)
 
 
 def _simpson_ambient(xs: Sequence[float]) -> float:
     return math.fsum(x * x for x in xs)
 
 
-def _simpson_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
-    return Fraction(*_sum_of_squares(ws))
+def _simpson_exact(w: WeightVector) -> Fraction:
+    return Fraction(*_sum_of_squares(w))
 
 
 def _hhi_ambient(xs: Sequence[float]) -> float:
@@ -135,12 +134,12 @@ def _hhi_ambient(xs: Sequence[float]) -> float:
     return (_simpson_ambient(xs) - 1.0 / n) / (1.0 - 1.0 / n)
 
 
-def _hhi_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
+def _hhi_exact(w: WeightVector) -> Fraction:
     # (simpson - 1/n) / (1 - 1/n) with simpson = squares / square_scale
-    n = len(ws)
+    n = w.n
     if n < 2:
         raise DomainError("normalized concentration index needs n >= 2")
-    squares, square_scale = _sum_of_squares(ws)
+    squares, square_scale = _sum_of_squares(w)
     return Fraction(n * squares - square_scale, (n - 1) * square_scale)
 
 
@@ -291,6 +290,24 @@ class AxiomVerdict:
     counterexamples: tuple[Counterexample, ...] = ()
 
 
+_MAX_RECORDED = 3
+
+
+def _verdict(bad: Sequence[Counterexample]) -> AxiomVerdict:
+    """Passed when nothing failed; keeps the first few failing inputs."""
+    return AxiomVerdict(not bad, tuple(bad[:_MAX_RECORDED]))
+
+
+#: The axioms of an AxiomReport, in field and JSON order.
+_AXIOMS = (
+    "positivity",
+    "zero_at_equality",
+    "boundedness",
+    "order_respecting",
+    "strict_monotone",
+)
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Per-axiom verdicts for one measure at one sampling configuration.
@@ -310,15 +327,8 @@ class AxiomReport:
     strict_monotone: AxiomVerdict | None
 
     def all_passed(self) -> bool:
-        verdicts = [
-            self.positivity,
-            self.zero_at_equality,
-            self.boundedness,
-            self.order_respecting,
-        ]
-        if self.strict_monotone is not None:
-            verdicts.append(self.strict_monotone)
-        return all(v.passed for v in verdicts)
+        verdicts = (getattr(self, axiom) for axiom in _AXIOMS)
+        return all(v.passed for v in verdicts if v is not None)
 
     def to_json_dict(self) -> dict:
         def verdict(v: AxiomVerdict | None):
@@ -336,17 +346,8 @@ class AxiomReport:
             "seed": self.seed,
             "samples": self.samples,
             "n": self.n,
-            "axioms": {
-                "positivity": verdict(self.positivity),
-                "zero_at_equality": verdict(self.zero_at_equality),
-                "boundedness": verdict(self.boundedness),
-                "order_respecting": verdict(self.order_respecting),
-                "strict_monotone": verdict(self.strict_monotone),
-            },
+            "axioms": {axiom: verdict(getattr(self, axiom)) for axiom in _AXIOMS},
         }
-
-
-_MAX_RECORDED = 3
 
 
 def _clearly_nonuniform(rng: random.Random, n: int) -> WeightVector:
@@ -417,23 +418,17 @@ def axiom_suite(
             alpha, beta = random_strict_majorization_pair(rng, n)
             if not (index_value(m, beta) - index_value(m, alpha) > EQUALITY_TOL):
                 bad_strict.append((alpha.as_strings(), beta.as_strings()))
-        strict = AxiomVerdict(
-            not bad_strict, tuple(bad_strict[:_MAX_RECORDED])
-        )
+        strict = _verdict(bad_strict)
 
     return AxiomReport(
         measure_id=m.id,
         seed=seed,
         samples=samples,
         n=n,
-        positivity=AxiomVerdict(
-            not bad_positive, tuple(bad_positive[:_MAX_RECORDED])
-        ),
-        zero_at_equality=AxiomVerdict(not bad_zero, tuple(bad_zero[:_MAX_RECORDED])),
-        boundedness=AxiomVerdict(not bad_finite, tuple(bad_finite[:_MAX_RECORDED])),
-        order_respecting=AxiomVerdict(
-            not bad_order, tuple(bad_order[:_MAX_RECORDED])
-        ),
+        positivity=_verdict(bad_positive),
+        zero_at_equality=_verdict(bad_zero),
+        boundedness=_verdict(bad_finite),
+        order_respecting=_verdict(bad_order),
         strict_monotone=strict,
     )
 
@@ -473,11 +468,12 @@ def schur_ostrowski_report(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if float(min(point.weights)) <= step:
+    scale = point._scale
+    xs = [x / scale for x in point._nums]
+    if min(xs) <= step:
         raise DomainError(
             "point too close to the boundary for this finite-difference step"
         )
-    xs = [float(w) for w in point.weights]
     n = len(xs)
 
     rng = random.Random(seed)
@@ -541,8 +537,8 @@ def concave_sum_rank(
     families.append(math.sqrt)
     families.append(lambda x: math.log(x + 1e-6))
 
-    a = [float(w) for w in alpha.weights]
-    b = [float(w) for w in beta.weights]
+    a = [x / alpha._scale for x in alpha._nums]
+    b = [x / beta._scale for x in beta._nums]
     for g in families:
         if math.fsum(g(x) for x in a) < math.fsum(g(x) for x in b) - EQUALITY_TOL:
             return False

@@ -19,6 +19,7 @@ from .simplex import (
     MajorizationRelation,
     WeightVector,
     _curve_order,
+    _from_ints,
     _relative_curve,
     _sum_of_squares,
     compare,
@@ -62,13 +63,7 @@ def more_is_better_chain(n: int) -> list[WeightVector]:
     """
     if n < 2:
         raise ValueError("a chain needs n >= 2")
-    chain = []
-    for m in range(1, n + 1):
-        share = Fraction(1, m)
-        chain.append(
-            WeightVector(tuple(share if i < m else Fraction(0) for i in range(n)))
-        )
-    return chain
+    return [_from_ints([1] * m + [0] * (n - m), m) for m in range(1, n + 1)]
 
 
 def relative_naive_prefer(

@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotInPolytope
@@ -34,7 +35,7 @@ from .simplex import (
     RationalLike,
     WeightVector,
     _hoover_exact,
-    _view,
+    _slot_gaps,
     as_fraction,
     half_l1,
     uniform_vector,
@@ -56,8 +57,8 @@ class TurnoverVector:
 
 def turnover_vector(w: WeightVector) -> TurnoverVector:
     """Componentwise distance to the equal share: w - 1/n, exact."""
-    share = Fraction(1, w.n)
-    return TurnoverVector(tuple(x - share for x in w.weights))
+    gaps = _slot_gaps(w.n, repeat(1, w.n), w._scale, w._nums)
+    return TurnoverVector(tuple(map(Fraction, gaps, repeat(w.n * w._scale))))
 
 
 def turnover(w: WeightVector) -> Fraction:
@@ -74,7 +75,7 @@ def polytope_membership(p: SquareMatrix, w: WeightVector) -> bool:
         raise DimensionMismatch(f"matrix order {p.order} vs vector length {w.n}")
     ones = (1,) * w.n
     # as (scale, nums): the all-ones pair, then w and 1/n in every slot
-    return _carries(p, [((1, ones), (1, ones)), (_view(w), (w.n, ones))])
+    return _carries(p, [((1, ones), (1, ones)), ((w._scale, w._nums), (w.n, ones))])
 
 
 def example_family(u: RationalLike, v: RationalLike) -> DoublyStochasticMatrix | None:
@@ -99,10 +100,9 @@ def frobenius_distance_squared(a: SquareMatrix, b: SquareMatrix) -> Fraction:
     """Exact squared Frobenius distance between two same-order matrices."""
     if a.order != b.order:
         raise DimensionMismatch(f"orders differ: {a.order} vs {b.order}")
-    return sum(
-        ((x - y) ** 2 for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)),
-        start=Fraction(0),
-    )
+    (s, xs), (u, ys) = a._scaled, b._scaled
+    gaps = (_slot_gaps(s, ra, u, rb) for ra, rb in zip(xs, ys))
+    return Fraction(sum(g * g for row in gaps for g in row), (s * u) ** 2)
 
 
 def _max_assignment(a: Sequence[Sequence[int]]) -> int:
@@ -177,8 +177,12 @@ def practical_turnover(w: WeightVector, p: SquareMatrix) -> float:
     """
     if not polytope_membership(p, w):
         raise NotInPolytope("matrix does not rebalance this allocation to 1/n")
-    scale = math.sqrt(float(min_permutation_distance_squared(p)))
-    return float(turnover(w)) * scale
+    return _practical(turnover(w), p)
+
+
+def _practical(tau: Fraction, p: SquareMatrix) -> float:
+    """Turnover ``tau`` times the distance of ``p`` from a permutation."""
+    return float(tau) * math.sqrt(float(min_permutation_distance_squared(p)))
 
 
 def _default_labels(w: WeightVector) -> tuple[str, ...]:
@@ -188,10 +192,14 @@ def _default_labels(w: WeightVector) -> tuple[str, ...]:
 
 
 def _trade_deltas(w: WeightVector, target: WeightVector) -> tuple[Fraction, ...]:
-    """``target - w`` slot by slot, each ``(t * s - x * u) / (s * u)`` from
-    the integer views ``x / s`` of ``w`` and ``t / u`` of ``target``."""
-    (s, xs), (u, ts) = _view(w), _view(target)
-    return tuple(Fraction(t * s - x * u, s * u) for x, t in zip(xs, ts))
+    """``target - w`` slot by slot, from the two integer views."""
+    gaps = _slot_gaps(w._scale, w._nums, target._scale, target._nums)
+    return tuple(map(Fraction, gaps, repeat(w._scale * target._scale)))
+
+
+def _is_uniform(w: WeightVector) -> bool:
+    # equal entries that sum to one are 1/n each
+    return min(w._nums) == max(w._nums)
 
 
 def _check_cost_field(name: str, value: float) -> None:
@@ -205,8 +213,8 @@ class RebalancePlan:
 
     Replaying ``steps`` on ``source`` must land exactly on ``target``;
     construction re-verifies this, so a deserialized plan is trustworthy.
-    ``practical_turnover`` is populated only for equal-weight targets,
-    where the notion is defined.
+    ``practical_turnover`` is given exactly for equal-weight targets,
+    where the notion is defined, and is then finite and nonnegative.
     """
 
     source: WeightVector
@@ -225,11 +233,12 @@ class RebalancePlan:
         current = self.source
         if len(self.intermediates) != len(self.steps):
             raise ValueError("need exactly one intermediate per step")
+        # the integer views decide, whatever the labels
         for step, expected in zip(self.steps, self.intermediates):
             current = apply_transform(current, step)
-            if _view(current) != _view(expected):
+            if (current._scale, current._nums) != (expected._scale, expected._nums):
                 raise ValueError("intermediate does not match its step")
-        if _view(current) != _view(self.target):
+        if (current._scale, current._nums) != (self.target._scale, self.target._nums):
             raise ValueError("steps do not reproduce the target")
         if self.turnover != half_l1(self.source, self.target):
             raise ValueError("turnover does not match source and target")
@@ -240,6 +249,13 @@ class RebalancePlan:
             raise ValueError("trade labels must be the source's slot labels")
         _check_cost_field("cost_rate", self.cost_rate)
         _check_cost_field("cost", self.cost)
+        if (self.practical_turnover is not None) != _is_uniform(self.target):
+            raise ValueError(
+                "practical_turnover must be given exactly when the target is "
+                "equal weights"
+            )
+        if self.practical_turnover is not None:
+            _check_cost_field("practical_turnover", self.practical_turnover)
 
     @property
     def averaging_steps(self) -> int:
@@ -272,11 +288,8 @@ def rebalance_to(
     trades = tuple(zip(_default_labels(w), _trade_deltas(w, target)))
     cost = float(cost_rate) * float(2 * tau)
 
-    practical: float | None = None
-    if _view(target) == _view(uniform_vector(w.n)):
-        product = compose(steps, w.n)
-        scale = math.sqrt(float(min_permutation_distance_squared(product)))
-        practical = float(tau) * scale
+    # the chain product is a member by construction: no membership check
+    practical = _practical(tau, compose(steps, w.n)) if _is_uniform(target) else None
 
     return RebalancePlan(
         source=w,
@@ -332,22 +345,13 @@ def sample_polytope(
             candidate = SquareMatrix.from_permutation(perm) @ chain
         else:
             chosen = rng.sample(members, min(len(members), 2 + rng.randrange(2)))
-            raw = [Fraction(rng.randint(0, 100)) for _ in chosen]
-            total = sum(raw)
-            if total == 0:
+            raw = [rng.randint(0, 100) for _ in chosen]
+            if sum(raw) == 0:
                 continue
-            coeffs = [x / total for x in raw]
-            candidate = SquareMatrix(
-                tuple(
-                    tuple(
-                        sum(c * m.rows[i][j] for c, m in zip(coeffs, chosen))
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                )
-            )
+            candidate = SquareMatrix._mixture(raw, chosen)
         if polytope_membership(candidate, w):
-            out.append(DoublyStochasticMatrix(candidate.rows))
+            scale, a = candidate._scaled
+            out.append(DoublyStochasticMatrix._from_ints(a, scale))
     return out
 
 

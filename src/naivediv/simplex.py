@@ -334,53 +334,37 @@ def _chord(curve: _Curve, k: int, x: int, xa: int) -> tuple[int, int]:
     return y0 * xa * dx + dy * (x * x_scale - x0 * xa), y_scale * xa * dx
 
 
-def _curve_values(curve: _Curve, grid: Iterable[Fraction]) -> Iterator[Fraction]:
-    """Exact values at ascending abscissas ``grid`` in [0, 1] of an integer
-    curve, in one pass over its segments."""
-    x_scale, xs = curve[:2]
-    k = 1
-    for t in grid:
-        x, xa = t.numerator, t.denominator
-        while k < len(xs) - 1 and xs[k] * xa < x * x_scale:
-            k += 1
-        yield Fraction(*_chord(curve, k, x, xa))
-
-
-def _view(ws: WeightVector | Sequence[Fraction]) -> tuple[int, Sequence[int]]:
-    """``(scale, nums)`` with ``ws == nums / scale`` entrywise: a weight
-    vector's own integer view, or one built for a plain Fraction sequence."""
-    if isinstance(ws, WeightVector):
-        return ws._scale, ws._nums
-    scale, (nums,) = _integer_view((ws,))
-    return scale, nums
-
-
-def _sum_of_squares(ws: WeightVector | Sequence[Fraction]) -> tuple[int, int]:
+def _sum_of_squares(w: WeightVector) -> tuple[int, int]:
     """``(num, den)`` with the sum of the squared weights equal to num / den:
     the squared numerators over the squared scale."""
-    scale, xs = _view(ws)
-    return sum(x * x for x in xs), scale * scale
+    return sum(x * x for x in w._nums), w._scale * w._scale
 
 
-def half_l1(
-    xs: WeightVector | Sequence[Fraction], ys: WeightVector | Sequence[Fraction]
-) -> Fraction:
-    """Half the l1 distance between two weight sequences, exact.
+def _slot_gaps(s: int, xs: Iterable[int], u: int, ts: Iterable[int]) -> Iterator[int]:
+    """Slot by slot, t / u - x / s over the common denominator s * u: the
+    integer t * s - x * u, for the vectors xs / s and ts / u."""
+    return (t * s - x * u for x, t in zip(xs, ts))
 
-    Between two allocations this is the mass that has to move to turn one
-    into the other; measured from equal weights it is both the turnover and
-    the Hoover index.
+
+def _half_l1(s: int, xs: Iterable[int], u: int, ts: Iterable[int]) -> Fraction:
+    """Half the l1 distance between xs / s and ts / u: the summed slot gaps
+    over 2 * s * u."""
+    return Fraction(sum(map(abs, _slot_gaps(s, xs, u, ts))), 2 * s * u)
+
+
+def half_l1(xs: WeightVector, ys: WeightVector) -> Fraction:
+    """Half the l1 distance between two allocations, exact.
+
+    This is the mass that has to move to turn one into the other; measured
+    from equal weights it is both the turnover and the Hoover index.
     """
-    (a, xs), (b, ys) = _view(xs), _view(ys)
-    return Fraction(sum(abs(x * b - y * a) for x, y in zip(xs, ys)), 2 * a * b)
+    return _half_l1(xs._scale, xs._nums, ys._scale, ys._nums)
 
 
-def _hoover_exact(ws: WeightVector | Sequence[Fraction]) -> Fraction:
-    # the mass that moves to reach equal weights (rebalancing.turnover):
-    # half the sum of |x / scale - 1 / n|, over the common scale n * scale
-    n = len(ws)
-    scale, xs = _view(ws)
-    return Fraction(sum(abs(n * x - scale) for x in xs), 2 * n * scale)
+def _hoover_exact(w: WeightVector) -> Fraction:
+    """Half the l1 distance from equal weights (rebalancing.turnover), which
+    enter as the integer view (n, 1 ... 1)."""
+    return _half_l1(w._scale, w._nums, w.n, repeat(1, w.n))
 
 
 @dataclass(frozen=True)
@@ -427,7 +411,11 @@ class LorenzCurve:
         t = as_fraction(t)
         if t < 0 or t > 1:
             raise ValueError("abscissa must lie in [0, 1]")
-        return next(_curve_values(self._view, (t,)))
+        x_scale, xs = self._view[:2]
+        x, xa = t.numerator, t.denominator
+        # the first segment, from breakpoint k - 1 to k, that reaches t
+        k = next(k for k in range(1, len(xs)) if xs[k] * xa >= x * x_scale)
+        return Fraction(*_chord(self._view, k, x, xa))
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(p[0] for p in self.points)

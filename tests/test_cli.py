@@ -467,6 +467,49 @@ class TestCurveOutputIsPinned:
         assert out == (GOLDEN / expected).read_text()
 
 
+#: The golden file extension of each ``--format``.
+EXTENSIONS = {"json": "json", "csv": "csv", "table": "txt"}
+
+
+class TestLorenzTablesArePinned:
+    """``naivediv lorenz`` in all three formats, byte for byte, at --points
+    0 and 100: on a 300-slot lattice file, where 100 divides 300 and both
+    give one table, and on a 64-slot file whose denominators run to 2,628
+    bits, where the grid falls between the breakpoints.  The tables are
+    rendered from the integer curve, with no LorenzCurve built."""
+
+    CASES = [
+        (f"lorenz_lattice300_points0.{ext}", "lorenz_lattice300.json", points, fmt)
+        for points in ("0", "100")
+        for fmt, ext in EXTENSIONS.items()
+    ] + [
+        (f"lorenz_wide64_points{points}.{ext}", "lorenz_wide64.json", points, fmt)
+        for points in ("0", "100")
+        for fmt, ext in EXTENSIONS.items()
+    ]
+
+    def run(self, expected, weights, points, fmt, capsys):
+        argv = ["lorenz", str(GOLDEN / weights), "--points", points, "--format", fmt]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / expected).read_text()
+
+    @pytest.mark.parametrize(("expected", "weights", "points", "fmt"), CASES)
+    def test_stdout(self, expected, weights, points, fmt, capsys):
+        self.run(expected, weights, points, fmt, capsys)
+
+    @pytest.mark.parametrize("fmt", EXTENSIONS)
+    def test_builds_no_lorenz_curve(self, fmt, capsys, monkeypatch):
+        from naivediv.simplex import LorenzCurve
+
+        def refuse(self):
+            raise AssertionError("naivediv lorenz built a LorenzCurve")
+
+        monkeypatch.setattr(LorenzCurve, "__post_init__", refuse)
+        ext = EXTENSIONS[fmt]
+        self.run(f"lorenz_wide64_points100.{ext}", "lorenz_wide64.json", "100", fmt, capsys)
+
+
 class TestRebalanceOutputIsPinned:
     """Plans byte for byte: every step weight, intermediate, trade and the
     practical turnover, for an equal-weight target, a target whose slot

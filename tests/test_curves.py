@@ -23,7 +23,6 @@ from naivediv.simplex import (
     LorenzCurve,
     MajorizationRelation,
     WeightVector,
-    _curve_values,
     compare,
     lorenz_curve,
     lorenz_dominates,
@@ -222,14 +221,13 @@ class TestValueAt:
     def test_at_breakpoints_and_a_grid(self, curve, big_n):
         grid = sorted(set(curve.breakpoints()) | {F(i, big_n) for i in range(big_n + 1)})
         expected = list(old_curve_values(curve.points, grid))
-        assert list(_curve_values(curve._view, grid)) == expected
         assert [curve.value_at(t) for t in grid] == expected
 
     def test_sampler_vector(self):
         (w,) = sampler_vectors(3, (25,))
         curve = lorenz_curve(w)
         grid = sorted(set(curve.breakpoints()) | {F(i, 7) for i in range(8)})
-        assert list(_curve_values(curve._view, grid)) == list(old_curve_values(curve.points, grid))
+        assert [curve.value_at(t) for t in grid] == list(old_curve_values(curve.points, grid))
 
 
 class TestLorenzCurveChecks:

@@ -1,6 +1,7 @@
 """Weight, matrix, and plan file formats."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -280,6 +281,27 @@ class TestPlanFiles:
         else:
             data[field] = value
         with pytest.raises(ValueError, match=f"'{field}'"):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("value", [-5, -1e-300, math.nan, math.inf, -math.inf])
+    def test_practical_turnover_must_be_finite_and_nonnegative(self, value):
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE))
+        data["practical_turnover"] = value
+        with pytest.raises(ValueError, match="practical_turnover"):
+            plan_from_dict(data)
+
+    def test_practical_turnover_only_for_an_equal_target(self):
+        flatter = weight_vector(["2/5", "1/3", "4/15"])
+        data = plan_to_dict(rebalance_to(REFERENCE, flatter))
+        assert data["practical_turnover"] is None
+        data["practical_turnover"] = 0.1
+        with pytest.raises(ValueError, match="practical_turnover"):
+            plan_from_dict(data)
+
+    def test_practical_turnover_required_for_an_equal_target(self):
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE))
+        data["practical_turnover"] = None
+        with pytest.raises(ValueError, match="practical_turnover"):
             plan_from_dict(data)
 
     def test_source_labels_name_the_trades(self):

@@ -143,6 +143,9 @@ def mixing_systems(rng, count):
     entries have large denominators that differ from entry to entry."""
     systems = []
 
+    def view(w):
+        return w._scale, w._nums
+
     def record(rows, rhs):
         systems.append((rows, rhs))
         return None
@@ -155,8 +158,8 @@ def mixing_systems(rng, count):
             ys = [old_random_weight_vector(rng, n) for _ in range(d)]
             if case % 3 == 0:
                 # a witness LP: (d, d) and (beta, alpha), often infeasible
-                d_, beta = ys[0].weights, ys[-1].weights
-                pairs = [(d_, d_), (beta, old_random_weight_vector(rng, n).weights)]
+                d_, beta = view(ys[0]), view(ys[-1])
+                pairs = [(d_, d_), (beta, view(old_random_weight_vector(rng, n)))]
             else:
                 k = rng.randint(1, n)
                 p = random_doubly_stochastic(rng.randrange(10**9), n, k=k)
@@ -165,9 +168,9 @@ def mixing_systems(rng, count):
                     # sharpen one target: no mixing matrix reaches it
                     flat, sharp = old_random_strict_majorization_pair(rng, n)
                     ys[-1], xs[-1] = flat, sharp
-                ones = (F(1),) * n
+                ones = (1, (1,) * n)
                 pairs = [(ones, ones)]
-                pairs += [(y.weights, x.weights) for x, y in zip(xs, ys)]
+                pairs += [(view(y), view(x)) for x, y in zip(xs, ys)]
             _mixing_witness(pairs, n)
     return systems
 

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import majorization_pairs, weight_vectors
-from old_chain import old_compose, old_muirhead_decompose
+from old_chain import old_compose, old_muirhead_decompose, old_random_doubly_stochastic
 from old_sampler import (
     old_random_majorization_pair,
     old_random_strict_majorization_pair,
@@ -732,6 +732,17 @@ class TestRandomDoublyStochastic:
         a = random_doubly_stochastic(23, 5, k=3)
         b = random_doubly_stochastic(23, 5, k=3)
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_fraction_mixture(self, seed):
+        # the integer convex combination draws the same stream and lands on
+        # the matrix the entrywise Fraction mixture built
+        for n, k in ((1, 1), (3, 2), (5, 4), (7, 3)):
+            new = random_doubly_stochastic(seed, n, k)
+            old = old_random_doubly_stochastic(seed, n, k)
+            assert type(new) is DoublyStochasticMatrix
+            assert new._scaled == old._scaled
+            assert new.rows == old.rows
 
 
 def test_random_majorization_pair_is_ordered():

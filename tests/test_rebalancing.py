@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import weight_vectors
+from old_chain import old_sample_polytope
 from old_sampler import old_random_weight_vector
 from naivediv.errors import (
     DimensionMismatch,
@@ -17,6 +18,7 @@ from naivediv.errors import (
     NotMajorized,
 )
 from naivediv.matrices import (
+    DoublyStochasticMatrix,
     SquareMatrix,
     TTransform,
     apply,
@@ -83,7 +85,7 @@ class TestTurnover:
 
 
 def exact_hoover(w):
-    return get_measure("hoover").exact(w.weights)
+    return get_measure("hoover").exact(w)
 
 
 class TestPolytopeMembership:
@@ -260,6 +262,20 @@ class TestPracticalTurnover:
         w = weight_vector(["3/4", "1/4"])
         plan = minimal_turnover_plan(w)
         assert plan.practical_turnover == float(turnover(w))
+
+
+class TestSamplePolytope:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_fraction_mixtures(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 5
+        sampler = random_weight_vector if seed % 2 else old_random_weight_vector
+        source = sampler(rng, n)
+        new = sample_polytope(source, seed, 6)
+        old = old_sample_polytope(source, seed, 6)
+        assert [type(p) for p in new] == [DoublyStochasticMatrix] * 6
+        assert [p._scaled for p in new] == [p._scaled for p in old]
+        assert [p.rows for p in new] == [p.rows for p in old]
 
 
 class TestRebalancePlans:

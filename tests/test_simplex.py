@@ -510,6 +510,3 @@ def test_half_l1_matches_its_definition(pair):
     a, b = pair
     expected = sum((abs(x - y) for x, y in zip(a.weights, b.weights)), start=F(0)) / 2
     assert half_l1(a, b) == expected
-    assert half_l1(a.weights, b) == expected
-    assert half_l1(a, b.weights) == expected
-    assert half_l1(a.weights, b.weights) == expected
