@@ -33,7 +33,7 @@ from itertools import groupby
 from typing import Sequence
 
 from . import fileio
-from .errors import NotMajorized
+from .errors import DimensionMismatch, NotMajorized
 from .simplex import (
     _lorenz_ints,
     _rational_strings,
@@ -408,7 +408,13 @@ def _cmd_multi_check(args, config: CliConfig) -> int:
 
     target_rows = fileio.load_allocation_rows(args.target_rows)
     source_rows = fileio.load_allocation_rows(args.source_rows)
-    witness = multivariate_feasible(target_rows, source_rows)
+    try:
+        witness = multivariate_feasible(target_rows, source_rows)
+    except DimensionMismatch as exc:
+        # the counts or lengths in the message are given in this order
+        raise DimensionMismatch(
+            f"{args.target_rows} vs {args.source_rows}: {exc}"
+        ) from None
     if config.format == "json":
         payload = {
             "feasible": witness is not None,

@@ -1,9 +1,25 @@
 """Exact linear feasibility over the rationals.
 
 A small phase-one simplex: minimize the sum of artificial variables for
-``A x = b, x >= 0``.  Bland's rule (lowest eligible index enters, ties on
-the ratio test broken by the lowest basis index) guarantees termination
-without any tolerance games.
+``A x = b, x >= 0``, with no tolerance anywhere.
+
+The pivot rule.  The entering column has the most negative reduced cost,
+lowest index on ties, except right after a degenerate pivot (one whose
+leaving row had right-hand side 0): then the lowest index with a negative
+reduced cost enters, as under Bland's rule.  The leaving row has the
+minimum ratio, ties broken by the lowest basis index.  The loop is finite:
+a pivot that is not degenerate strictly lowers the objective, so a cycle
+of bases could hold only degenerate pivots; every pivot in it would then
+follow a degenerate one and be a Bland pivot, and Bland's rule cannot
+cycle (Bland, Math. Oper. Res. 2:103, 1977).
+
+An artificial variable that leaves the basis is fixed at 0 and its column
+deleted.  That cannot change the verdict: when the system is feasible, its
+solution with every artificial at 0 is feasible for the restricted phase
+one too, so the objective still reaches 0.  An artificial therefore stays
+basic until it leaves, and a basic column is a unit column, so the tableau
+holds no artificial columns at all: the structural ones and the
+right-hand side.
 
 Each tableau row, the objective row included, is a list of Python ints
 over one positive denominator of its own, kept in lowest terms.  A pivot
@@ -15,8 +31,8 @@ determinant (Bareiss): with unrelated thousand-bit denominators in the
 input, a shared one grows far larger than any row needs.
 
 The callers ask about order-n mixing matrices: n^2 structural variables
-plus one artificial per equation, a few hundred tableau columns at the
-orders in use, where a dense tableau is the simplest thing that works.
+and a few dozen equations at the orders in use, where a dense tableau is
+the simplest thing that works.
 """
 
 from __future__ import annotations
@@ -50,18 +66,15 @@ def solve_equality_feasibility(
     if any(len(r) != nvars for r in rows) or len(rhs) != m:
         raise ValueError("ragged constraint system")
 
-    # Tableau columns: structural vars, artificial vars, rhs.  Row i holds
-    # the values nums[i][j] / dens[i].
+    # Tableau columns: structural vars, then rhs.  Row i holds the values
+    # nums[i][j] / dens[i]; artificial i is basic in row i until it leaves.
     dens: list[int] = []
     nums: list[list[int]] = []
     for i in range(m):
         flip = -1 if rhs[i] < 0 else 1
         den, (coeffs,) = _integer_view(([*rows[i], rhs[i]],))
-        row = [flip * c for c in coeffs[:nvars]]
-        row.extend(den if j == i else 0 for j in range(m))
-        row.append(flip * coeffs[-1])
         dens.append(den)
-        nums.append(row)
+        nums.append([flip * c for c in coeffs])
     # The last row holds the reduced costs of the phase-one objective (the
     # sum of the artificials) and, in its rhs cell, minus the objective
     # value; pivots keep it current like any other row.
@@ -69,15 +82,19 @@ def solve_equality_feasibility(
     objective = [
         -sum(scale // den * e for den, e in zip(dens, col)) for col in zip(*nums)
     ]
-    objective[nvars : nvars + m] = [0] * m
     obj_den, objective = _reduced(scale, objective)
     dens.append(obj_den)
     nums.append(objective)
     basis = [nvars + i for i in range(m)]
 
+    bland = False
     while True:
-        objective = nums[m]
-        entering = next((j for j in range(nvars + m) if objective[j] < 0), -1)
+        costs = nums[m][:nvars]
+        if bland:
+            entering = next((j for j, c in enumerate(costs) if c < 0), -1)
+        else:
+            lowest = min(costs)
+            entering = costs.index(lowest) if lowest < 0 else -1
         if entering < 0:
             break
         # Row i's ratio is rhs_i / coeff_i = nums[i][-1] / nums[i][entering]:
@@ -97,6 +114,7 @@ def solve_equality_feasibility(
             # A feasibility objective is bounded below by zero, so an
             # unbounded improving direction cannot occur.
             raise RuntimeError("phase-one simplex lost boundedness")
+        bland = nums[leaving][-1] == 0
         _pivot(dens, nums, leaving, entering)
         basis[leaving] = entering
 

@@ -401,14 +401,24 @@ def hlp_witness(
     return compose(muirhead_decompose(beta, alpha), beta.n)
 
 
+def _confirmed(m: SquareMatrix, pairs: Sequence[tuple[_Ints, _Ints]]) -> SquareMatrix:
+    """``m``, once ``_carries`` has confirmed it against every pair."""
+    if not _carries(m, pairs):
+        raise RuntimeError("witness fails its exact check")
+    return m
+
+
 def _mixing_witness(
     pairs: Sequence[tuple[_Ints, _Ints]], n: int
-) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Rows of an order-n P >= 0 whose rows sum to 1 with u @ P == v for
-    every pair, found by the exact LP; None when no such P exists.
+) -> SquareMatrix | None:
+    """An order-n P >= 0 whose rows sum to 1 with u @ P == v for every
+    pair, found by the exact LP and confirmed by ``_carries``; None when no
+    such P exists.
 
     The unknowns are P's entries in row-major order.  The equations are the
-    n row sums, then one equation per column for each pair in turn.
+    n row sums, then the first n - 1 column equations of each pair in turn.
+    The two vectors of a pair have equal sums, so the row sums imply its
+    last column equation: sum_c (u @ P)_c == sum(u) == sum(v).
     """
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -419,7 +429,7 @@ def _mixing_witness(
         rhs.append(ONE)
     for (u_scale, us), (v_scale, vs) in pairs:
         u = [Fraction(x, u_scale) for x in us]
-        for c in range(n):
+        for c in range(n - 1):
             coeffs = [ZERO] * (n * n)
             coeffs[c :: n] = u
             rows.append(coeffs)
@@ -431,7 +441,8 @@ def _mixing_witness(
     solution = lp.solve_equality_feasibility(rows, rhs)
     if solution is None:
         return None
-    return tuple(tuple(solution[r * n : (r + 1) * n]) for r in range(n))
+    scale, a = _integer_view([solution[r * n : (r + 1) * n] for r in range(n)])
+    return _confirmed(SquareMatrix._from_ints(a, scale), pairs)
 
 
 def multivariate_feasible(
@@ -445,14 +456,22 @@ def multivariate_feasible(
 
     X = Y @ P makes each x_a = y_a @ P, which y_a majorizes
     (Hardy-Littlewood-Polya), so a row pair that fails that closed-form
-    test decides the question without the LP.
+    test decides the question without the LP.  With one row that test is
+    the whole answer, and the Muirhead chain (``hlp_witness``) builds the
+    witness with no LP either.
     """
     d = len(x_rows)
     if d == 0 or len(y_rows) != d:
-        raise DimensionMismatch("need equally many rows on both sides")
+        raise DimensionMismatch(
+            f"need equally many rows on both sides: {d} rows vs {len(y_rows)}"
+        )
     n = x_rows[0].n
-    if any(r.n != n for r in x_rows) or any(r.n != n for r in y_rows):
-        raise DimensionMismatch("all rows must share one length")
+    lengths = [sorted({r.n for r in rows}) for rows in (x_rows, y_rows)]
+    if lengths != [[n], [n]]:
+        raise DimensionMismatch(
+            "all rows must share one length: rows of length "
+            + " vs ".join(", ".join(map(str, side)) for side in lengths)
+        )
     if not all(map(majorizes, y_rows, x_rows)):
         return None
     ones = (1, (1,) * n)
@@ -460,8 +479,13 @@ def multivariate_feasible(
     pairs += [
         ((y._scale, y._nums), (x._scale, x._nums)) for x, y in zip(x_rows, y_rows)
     ]
-    entries = _mixing_witness(pairs, n)
-    return None if entries is None else DoublyStochasticMatrix(entries)
+    if d == 1:
+        return _confirmed(hlp_witness(y_rows[0], x_rows[0]), pairs)
+    witness = _mixing_witness(pairs, n)
+    if witness is None:
+        return None
+    scale, a = witness._scaled
+    return DoublyStochasticMatrix._from_ints(a, scale)
 
 
 def d_stochastic_witness(
@@ -476,8 +500,7 @@ def d_stochastic_witness(
         raise LengthMismatch("all three vectors must share one length")
     d_view = d._scale, d._nums
     pairs = [(d_view, d_view), ((beta._scale, beta._nums), (alpha._scale, alpha._nums))]
-    entries = _mixing_witness(pairs, beta.n)
-    return None if entries is None else SquareMatrix(entries)
+    return _mixing_witness(pairs, beta.n)
 
 
 def random_doubly_stochastic(

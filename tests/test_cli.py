@@ -366,8 +366,8 @@ class TestMultiCheck:
     def test_witness_is_pinned(self, capsys):
         # The witness is the LP's vertex, so it moves with the pivot rule or
         # the tableau values; a change to either shows up here.  On this
-        # stack the most-negative entering rule, the reversed ratio-test tie
-        # break and last-index entering each reach another witness.
+        # stack Bland's rule throughout and last-index entering on ties of
+        # the most negative reduced cost each reach another witness.
         golden = Path(__file__).parent / "golden"
         code, out, _ = run_cli(
             [
@@ -381,6 +381,34 @@ class TestMultiCheck:
         )
         assert code == 0
         assert out == (golden / "multi_check_expected.json").read_text()
+
+    def test_row_counts_that_differ_name_both_files(self, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        source = tmp_path / "source.json"
+        target.write_text(json.dumps({"entries": [["1/2", "1/2"], ["1", "0"]]}))
+        source.write_text(json.dumps({"entries": [["1/2", "1/2"]]}))
+        code, out, err = run_cli(["multi-check", str(target), str(source)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"naivediv: {target} vs {source}: "
+            "need equally many rows on both sides: 2 rows vs 1\n"
+        )
+
+    def test_row_lengths_that_differ_name_both_files(self, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        source = tmp_path / "source.json"
+        target.write_text(json.dumps({"entries": [["1/2", "1/2"], ["1", "0"]]}))
+        source.write_text(
+            json.dumps({"entries": [["1/2", "1/2", "0"], ["1", "0"]]})
+        )
+        code, out, err = run_cli(["multi-check", str(target), str(source)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"naivediv: {target} vs {source}: "
+            "all rows must share one length: rows of length 2 vs 2, 3\n"
+        )
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -8,7 +8,13 @@ import pytest
 from old_sampler import old_random_strict_majorization_pair, old_random_weight_vector
 from naivediv import lp
 from naivediv.lp import solve_equality_feasibility
-from naivediv.matrices import _mixing_witness, apply, random_doubly_stochastic
+from naivediv.matrices import (
+    _mixing_witness,
+    apply,
+    multivariate_feasible,
+    random_doubly_stochastic,
+)
+from naivediv.simplex import random_weight_vector
 
 
 def check(rows, rhs, x):
@@ -63,12 +69,9 @@ def test_exactness_with_awkward_rationals():
     check(rows, rhs, x)
 
 
-def reference_solve(rows, rhs):
-    """The phase-one loop before the objective row moved into the tableau:
-    reduced costs recomputed column by column from a separate cost vector,
-    dense row updates.  Kept as the oracle for the solver's pivot sequence."""
+def _tableau(rows, rhs):
+    """The phase-one Fraction tableau with one artificial column per row."""
     m = len(rows)
-    nvars = len(rows[0])
     tableau = []
     for i in range(m):
         flip = F(-1) if rhs[i] < 0 else F(1)
@@ -76,42 +79,129 @@ def reference_solve(rows, rhs):
         row.extend(F(1) if j == i else F(0) for j in range(m))
         row.append(flip * rhs[i])
         tableau.append(row)
-    basis = [nvars + i for i in range(m)]
-    cost = [F(0)] * nvars + [F(1)] * m
-    while True:
-        entering = -1
-        for j in range(nvars + m):
-            reduced = cost[j] - sum(cost[basis[i]] * tableau[i][j] for i in range(m))
-            if reduced < 0:
-                entering = j
-                break
-        if entering < 0:
-            break
-        leaving = -1
-        best = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best, leaving = ratio, i
-        inv = 1 / tableau[leaving][entering]
-        tableau[leaving] = [c * inv for c in tableau[leaving]]
-        for i in range(m):
-            factor = tableau[i][entering]
-            if i != leaving and factor != 0:
-                pivot = tableau[leaving]
-                tableau[i] = [c - factor * p for c, p in zip(tableau[i], pivot)]
-        basis[leaving] = entering
-    if sum(cost[basis[i]] * tableau[i][-1] for i in range(m)) != 0:
+    return tableau
+
+
+def _leaving(tableau, basis, entering):
+    """The minimum-ratio row, ties broken by the lowest basis index."""
+    leaving = -1
+    best = None
+    for i, row in enumerate(tableau):
+        coeff = row[entering]
+        if coeff > 0:
+            ratio = row[-1] / coeff
+            if best is None or ratio < best or (
+                ratio == best and basis[i] < basis[leaving]
+            ):
+                best, leaving = ratio, i
+    return leaving
+
+
+def _pivot_on(tableau, leaving, entering):
+    inv = 1 / tableau[leaving][entering]
+    tableau[leaving] = [c * inv for c in tableau[leaving]]
+    pivot = tableau[leaving]
+    for i, row in enumerate(tableau):
+        factor = row[entering]
+        if i != leaving and factor != 0:
+            tableau[i] = [c - factor * p for c, p in zip(row, pivot)]
+
+
+def _reduced_cost(var, j, tableau, basis, nvars):
+    """The phase-one reduced cost of ``var``, in tableau column j: its cost
+    (1 for an artificial, else 0) less the basic artificials' column entries."""
+    return int(var >= nvars) - sum(
+        row[j] for b, row in zip(basis, tableau) if b >= nvars
+    )
+
+
+def _solution(tableau, basis, nvars):
+    if any(row[-1] for b, row in zip(basis, tableau) if b >= nvars):
         return None
     solution = [F(0)] * nvars
-    for i in range(m):
+    for i, row in enumerate(tableau):
         if basis[i] < nvars:
-            solution[basis[i]] = tableau[i][-1]
+            solution[basis[i]] = row[-1]
     return solution
+
+
+def reference_solve(rows, rhs, pivots=None):
+    """The solver's rules on a plain Fraction tableau that keeps its
+    artificial columns: the most negative reduced cost enters (lowest index
+    on ties), or the lowest eligible index right after a degenerate pivot;
+    the minimum ratio leaves, lowest basis index on ties; an artificial
+    that leaves the basis is deleted, column and all.  Reduced costs are
+    recomputed column by column from the cost vector.  Kept as the oracle
+    for the solver's pivot sequence; ``pivots`` gets one entry per pivot,
+    True for a Bland pivot."""
+    nvars = len(rows[0])
+    tableau = _tableau(rows, rhs)
+    columns = list(range(nvars + len(rows)))  # the variable in each column
+    basis = columns[nvars:]
+    bland = False
+    while True:
+        reduced = [
+            _reduced_cost(var, j, tableau, basis, nvars)
+            for j, var in enumerate(columns)
+        ]
+        eligible = [j for j, r in enumerate(reduced) if r < 0]
+        if not eligible:
+            break
+        if bland:
+            entering = eligible[0]
+        else:
+            entering = min(eligible, key=lambda j: (reduced[j], j))
+        leaving = _leaving(tableau, basis, entering)
+        if pivots is not None:
+            pivots.append(bland)
+        bland = tableau[leaving][-1] == 0
+        _pivot_on(tableau, leaving, entering)
+        departed, basis[leaving] = basis[leaving], columns[entering]
+        if departed >= nvars:
+            gone = columns.index(departed)
+            del columns[gone]
+            for row in tableau:
+                del row[gone]
+    return _solution(tableau, basis, nvars)
+
+
+def bland_solve(rows, rhs, pivots=None):
+    """Bland's rule on the full Fraction tableau, as the solver pivoted
+    before: the lowest index with a negative reduced cost enters, departed
+    artificials included.  Kept as a second oracle for the verdicts and for
+    the pivot count; ``pivots`` gets each entering column."""
+    m = len(rows)
+    nvars = len(rows[0])
+    tableau = _tableau(rows, rhs)
+    basis = [nvars + i for i in range(m)]
+    while True:
+        entering = next(
+            (
+                j
+                for j in range(nvars + m)
+                if _reduced_cost(j, j, tableau, basis, nvars) < 0
+            ),
+            -1,
+        )
+        if entering < 0:
+            break
+        leaving = _leaving(tableau, basis, entering)
+        if pivots is not None:
+            pivots.append(entering)
+        _pivot_on(tableau, leaving, entering)
+        basis[leaving] = entering
+    return _solution(tableau, basis, nvars)
+
+
+def agrees_with_both_oracles(rows, rhs):
+    """The solver's answer, once it has matched the new-rule oracle exactly,
+    the Bland oracle's verdict, and (when feasible) the system."""
+    x = solve_equality_feasibility(rows, rhs)
+    assert x == reference_solve(rows, rhs)
+    assert (x is None) == (bland_solve(rows, rhs) is None)
+    if x is not None:
+        check(rows, rhs, x)
+    return x
 
 
 def test_same_answers_as_the_reference_loop():
@@ -130,12 +220,52 @@ def test_same_answers_as_the_reference_loop():
             rhs = [sum(c * v for c, v in zip(row, x0)) for row in rows]
         else:
             rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
-        x = solve_equality_feasibility(rows, rhs)
-        assert x == reference_solve(rows, rhs)
+        x = agrees_with_both_oracles(rows, rhs)
         outcomes[x is not None] += 1
-        if x is not None:
-            check(rows, rhs, x)
     assert min(outcomes.values()) >= 50
+
+
+def degenerate_systems(rng, count):
+    """Seeded systems built to pivot degenerately: duplicated rows (some
+    scaled), repeated columns, and right-hand sides that are 0 or the image
+    of a point with many zero entries."""
+    systems = []
+    for _ in range(count):
+        m = rng.randint(2, 5)
+        nvars = rng.randint(2, 6)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(nvars)] for _ in range(m)]
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows[j] = list(rows[i])
+            rows.append([rng.choice((1, 2, -1)) * c for c in rows[i]])
+        for _ in range(rng.randint(1, 2)):
+            j = rng.randrange(nvars)
+            for row in rows:
+                row.append(row[j])
+        width = len(rows[0])
+        shape = rng.random()
+        if shape < 0.4:
+            x0 = [F(rng.randint(0, 2) if rng.random() < 0.3 else 0) for _ in range(width)]
+            rhs = [sum(c * v for c, v in zip(row, x0)) for row in rows]
+        elif shape < 0.6:
+            rhs = [F(0)] * len(rows)
+        else:
+            rhs = [F(rng.randint(-1, 1)) for _ in rows]
+        systems.append((rows, rhs))
+    return systems
+
+
+def test_same_answers_as_the_reference_loop_on_degenerate_systems():
+    rng = random.Random(1977)
+    outcomes = {True: 0, False: 0}
+    bland_pivots = []
+    for rows, rhs in degenerate_systems(rng, 300):
+        x = agrees_with_both_oracles(rows, rhs)
+        outcomes[x is not None] += 1
+        reference_solve(rows, rhs, bland_pivots)
+    assert min(outcomes.values()) >= 50
+    # the set reaches the Bland branch of the entering rule many times
+    assert sum(bland_pivots) >= 200
 
 
 def mixing_systems(rng, count):
@@ -186,9 +316,42 @@ def test_same_answers_as_the_reference_loop_on_mixing_systems():
             [3 * c for c in rows[j]],
         ]
         rhs = rhs + [rhs[i] + rhs[j], 3 * rhs[j]]
-        x = solve_equality_feasibility(rows, rhs)
-        assert x == reference_solve(rows, rhs)
+        x = agrees_with_both_oracles(rows, rhs)
         outcomes[x is not None] += 1
-        if x is not None:
-            check(rows, rhs, x)
     assert min(outcomes.values()) >= 10
+
+
+#: ``lp._pivot`` calls over the stacks of ``test_pivot_count_is_pinned``
+PINNED_PIVOTS = 144
+
+
+def test_pivot_count_is_pinned(monkeypatch):
+    # A deterministic work guard: the pivots over a fixed set of
+    # library-built feasible stacks, one for each n in 4..6 and d in 2..3.
+    # More pivots fail here on any machine, with no timing noise.
+    systems = []
+    pivots = []
+    solve, pivot = lp.solve_equality_feasibility, lp._pivot
+
+    def recorded(rows, rhs):
+        systems.append((rows, rhs))
+        return solve(rows, rhs)
+
+    def counted(*args):
+        pivots.append(args)
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "solve_equality_feasibility", recorded)
+    monkeypatch.setattr(lp, "_pivot", counted)
+    for seed in range(6):
+        rng = random.Random(seed)
+        n, d = 4 + seed % 3, 2 + seed // 3
+        ys = [random_weight_vector(rng, n) for _ in range(d)]
+        p = random_doubly_stochastic(seed, n, k=n)
+        assert multivariate_feasible([apply(y, p) for y in ys], ys) is not None
+    assert len(systems) == 6
+    assert len(pivots) == PINNED_PIVOTS
+    bland = []
+    for rows, rhs in systems:
+        bland_solve(rows, rhs, bland)
+    assert len(pivots) < len(bland)

@@ -669,6 +669,31 @@ class TestMultivariateFeasible:
         x = [uniform_vector(3), weight_vector(["1/2", "1/2", "0"])]
         assert multivariate_feasible(x, y) is None
 
+    def test_one_row_needs_no_lp(self, monkeypatch):
+        # the screen has shown that y majorizes x; the Muirhead chain is
+        # the witness
+        def no_lp(rows, rhs):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", no_lp)
+        y = weight_vector(["1/2", "1/3", "1/6"])
+        x = weight_vector(["1/3", "1/6", "1/2"])
+        witness = multivariate_feasible([x], [y])
+        assert witness == hlp_witness(y, x)
+        assert isinstance(witness, DoublyStochasticMatrix)
+        assert apply(y, witness) == x
+
+    def test_a_wrong_lp_point_is_caught(self, monkeypatch):
+        # a nonnegative point with unit row sums that carries no row: the
+        # exact check rejects it rather than return it as a witness
+        def wrong(rows, rhs):
+            return [F(1, 3)] * len(rows[0])
+
+        monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", wrong)
+        y = [weight_vector(["1/2", "1/3", "1/6"]), weight_vector(["1/2", "1/2", "0"])]
+        with pytest.raises(RuntimeError, match="exact check"):
+            multivariate_feasible(y, y)
+
     def test_jointly_infeasible_rows_reach_the_lp(self, monkeypatch):
         # each target row is majorized by its source row, but one P would
         # have to send (1, 0, 0) to two different rows
@@ -712,6 +737,18 @@ class TestDStochasticWitness:
             sum(beta.weights[i] * a.rows[i][j] for i in range(n)) for j in range(n)
         )
         assert reached == d.weights
+
+    def test_a_wrong_lp_point_is_caught(self, monkeypatch):
+        # each row of A sums to 1 and d @ A == d, but beta @ A != alpha
+        def wrong(rows, rhs):
+            return [F(1, 3)] * len(rows[0])
+
+        monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", wrong)
+        d = uniform_vector(3)
+        beta = weight_vector(["1/2", "1/3", "1/6"])
+        alpha = weight_vector(["1/2", "1/4", "1/4"])
+        with pytest.raises(RuntimeError, match="exact check"):
+            d_stochastic_witness(beta, alpha, d)
 
     def test_infeasible_direction(self):
         d = uniform_vector(3)
