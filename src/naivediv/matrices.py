@@ -36,8 +36,10 @@ from .errors import (
 )
 from .simplex import (
     WeightVector,
+    _below,
     _from_ints,
     _integer_view,
+    _pick_two,
     _sampler_counts,
     as_fraction,
     majorizes,
@@ -529,15 +531,20 @@ def random_majorization_pair(
     """Seeded (alpha, beta) with beta majorizing alpha, built constructively.
 
     ``beta`` is a random simplex point; ``alpha`` is its image under a short
-    chain of random averaging transforms.
+    chain of random averaging transforms.  Every draw reads
+    ``rng.getrandbits`` and consumes the stream that ``random.Random``'s
+    ``randint`` and ``sample(range(n), 2)`` would, so a seed gives the pairs
+    it always gave.
     """
     beta = random_weight_vector(rng, n)
-    count = transforms if transforms is not None else rng.randint(1, max(1, n - 1))
+    draw = rng.getrandbits
+    # randint(a, b) is a + _randbelow(b - a + 1)
+    count = transforms if transforms is not None else 1 + _below(draw, max(1, n - 1))
     # the chain runs on beta's integer view; alpha is built once at the end
     scale, nums = beta._scale, beta._nums
     for _ in range(count):
-        j, k = rng.sample(range(n), 2)
-        scale, nums = _t_step(scale, nums, j, k, rng.randint(0, 100), 100)
+        j, k = _pick_two(draw, n)
+        scale, nums = _t_step(scale, nums, j, k, _below(draw, 101), 100)
     return _from_ints(nums, scale), beta
 
 
@@ -548,7 +555,9 @@ def random_strict_majorization_pair(
 
     The source has well-separated sorted components and the single transfer
     moves a non-trivial amount of mass, so any strictly order-reversing
-    measure separates the two by far more than float noise.
+    measure separates the two by far more than float noise.  Like
+    ``random_majorization_pair`` it reads ``rng.getrandbits`` only, in the
+    stream of ``random.Random``'s ``sample`` and ``randint``.
     """
     # sorted gaps of at least 1/(20n), tested on the draw's integer counts
     while True:
@@ -557,8 +566,9 @@ def random_strict_majorization_pair(
         ordered = sorted(counts, reverse=True)
         if all(20 * n * (a - b) >= total for a, b in zip(ordered, ordered[1:])):
             break
-    j, k = rng.sample(range(n), 2)
-    scale, nums = _t_step(total, counts, j, k, rng.randint(10, 90), 100)
+    draw = rng.getrandbits
+    j, k = _pick_two(draw, n)
+    scale, nums = _t_step(total, counts, j, k, 10 + _below(draw, 81), 100)
     return _from_ints(nums, scale), _from_ints(counts, total)
 
 

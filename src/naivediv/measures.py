@@ -28,6 +28,7 @@ from .errors import DomainError, NotMajorized, UnknownMeasure
 from .simplex import (
     WeightVector,
     _hoover_exact,
+    _slot_gaps,
     _sum_of_squares,
     as_fraction,
     majorizes,
@@ -351,11 +352,17 @@ class AxiomReport:
 
 
 def _clearly_nonuniform(rng: random.Random, n: int) -> WeightVector:
-    """A random vector bounded away from uniform, so zero values are real bugs."""
-    floor = Fraction(1, 10 * n)
+    """A random vector bounded away from uniform, so zero values are real bugs.
+
+    The first draw whose Hoover index, half the l1 distance from equal
+    weights, is at least 1/(10n).  On the integer view (s, x) that reads
+    5 * sum |s - n * x_i| >= s, decided on ints.
+    """
+    ones = (1,) * n
     while True:
         w = random_weight_vector(rng, n)
-        if _hoover_exact(w) >= floor:
+        s = w._scale
+        if 5 * sum(map(abs, _slot_gaps(s, w._nums, n, ones))) >= s:
             return w
 
 

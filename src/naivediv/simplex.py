@@ -442,14 +442,63 @@ def lorenz_dominates(a: LorenzCurve, b: LorenzCurve) -> MajorizationRelation:
     return _curve_order(a._view, b._view)
 
 
+def _below(draw, n: int) -> int:
+    """A uniform int in 0 .. n - 1 read from ``draw = rng.getrandbits`` the
+    way ``random.Random._randbelow`` reads it: n.bit_length() bits a draw,
+    redrawn until below n, so it consumes the same stream."""
+    if n <= 0:
+        # getrandbits(0) is 0 forever, so a zero bound would never return
+        raise ValueError("need a positive bound")
+    bits = n.bit_length()
+    r = draw(bits)
+    while r >= n:
+        r = draw(bits)
+    return r
+
+
+def _pick_two(draw, n: int) -> tuple[int, int]:
+    """Two distinct slots of 0 .. n - 1, drawn from ``draw = rng.getrandbits``
+    exactly as ``rng.sample(range(n), 2)`` draws them.
+
+    ``sample`` swaps through a pool list up to n = 21 and redraws repeats
+    from a set beyond; both branches are copied, so the stream is the same.
+    """
+    if n < 2:
+        raise ValueError("need at least two slots to pick two")
+    j = _below(draw, n)
+    if n <= 21:
+        # the pool moved slot n - 1 into j's vacancy
+        k = _below(draw, n - 1)
+        return j, (n - 1 if k == j else k)
+    k = _below(draw, n)
+    while k == j:
+        k = _below(draw, n)
+    return j, k
+
+
 def _sampler_counts(rng: random.Random, n: int) -> list[int]:
     """n positive counts summing to the sampler lattice's D = 10**6 * n: the
-    gaps between n - 1 distinct cut points drawn from 1 .. D - 1."""
+    gaps between n - 1 distinct cut points drawn from 1 .. D - 1.
+
+    The cuts are read from ``rng.getrandbits`` exactly as
+    ``rng.sample(range(1, D), n - 1)`` reads them: D - 1 is far above
+    ``sample``'s small-population cutoff, so that is its set branch, each
+    index drawn as ``_randbelow(D - 1)`` and a repeat drawn again.
+    """
     if n < 1:
         raise ValueError("need at least one slot")
     total = _SAMPLER_LATTICE * n
-    cuts = sorted(rng.sample(range(1, total), n - 1))
-    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    m = total - 1
+    bits = m.bit_length()
+    draw = rng.getrandbits
+    picked: set[int] = set()
+    while len(picked) < n - 1:
+        r = draw(bits)
+        if r < m:
+            picked.add(r)
+    # index r is cut r + 1; the edges -1 and m stand for the cuts 0 and D
+    edges = [-1, *sorted(picked), m]
+    return [b - a for a, b in pairwise(edges)]
 
 
 def random_weight_vector(rng: random.Random, n: int) -> WeightVector:
@@ -457,6 +506,8 @@ def random_weight_vector(rng: random.Random, n: int) -> WeightVector:
     denominator D = 10**6 * n inside the simplex.
 
     Every weight is a positive multiple of 1/D, and every such allocation is
-    equally likely: a discrete flat Dirichlet, on ints throughout.
+    equally likely: a discrete flat Dirichlet, on ints throughout.  It reads
+    ``rng.getrandbits`` only, and leaves ``rng`` in the state
+    ``rng.sample(range(1, D), n - 1)`` would (see ``_sampler_counts``).
     """
     return _from_ints(_sampler_counts(rng, n), _SAMPLER_LATTICE * n)

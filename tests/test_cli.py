@@ -565,6 +565,32 @@ class TestRebalanceOutputIsPinned:
         assert out == (GOLDEN / expected).read_text()
 
 
+#: ``axioms --format json`` stdout for every measure at n = 4 and 8, keyed
+#: "<measure> n=<n>", with --samples 30 --seed 42.
+AXIOMS_GOLDEN = json.loads((GOLDEN / "axioms_expected.json").read_text())
+
+
+class TestAxiomOutputIsPinned:
+    """Axiom reports byte for byte: every verdict and counterexample pins
+    the sampler's vectors and pairs, and the random stream they are drawn
+    from."""
+
+    def test_covers_every_measure_at_both_sizes(self):
+        from naivediv.measures import LOG_CONTROL, registry
+
+        ids = [m.id for m in registry()] + [LOG_CONTROL.id]
+        assert sorted(AXIOMS_GOLDEN) == sorted(f"{i} n={n}" for i in ids for n in (4, 8))
+
+    @pytest.mark.parametrize("case", sorted(AXIOMS_GOLDEN))
+    def test_stdout(self, case, capsys):
+        measure, n = case.rsplit(" n=", 1)
+        argv = ["axioms", "--measure", measure, "--n", n, "--samples", "30",
+                "--seed", "42", "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == AXIOMS_GOLDEN[case]
+
+
 class TestMalformedFiles:
     """A field of the wrong JSON type exits 1 naming the file and the field;
     it is never read as some other allocation or left as a traceback."""

@@ -797,12 +797,14 @@ def test_composition_of_doubly_stochastic_is_doubly_stochastic():
 
 def test_random_majorization_pair_matches_the_chained_transforms():
     # the generator's old body applied one apply_transform per step; the
-    # integer chain must give the same pairs from the same random stream
+    # integer chain must give the same pairs from the same random stream.
+    # random.sample picks two slots through a pool list up to n = 21 and
+    # through a set from n = 22, so both of its branches are covered
     for seed in range(200):
         new, old = random.Random(seed), random.Random(seed)
         # a drawn chain length on most seeds, a fixed one (0 to 4) on some
         transforms = None if seed % 4 else seed % 5
-        for n in range(2, 9):
+        for n in [*range(2, 9), 21, 22, 23, 40]:
             assert random_majorization_pair(new, n, transforms) == (
                 old_random_majorization_pair(old, n, transforms, sampler=random_weight_vector)
             )
@@ -822,11 +824,26 @@ def test_random_strict_majorization_pair_keeps_its_gap():
 def test_random_strict_majorization_pair_matches_its_old_body():
     for seed in range(200):
         new, old = random.Random(seed), random.Random(seed)
-        for n in range(2, 9):
+        for n in range(2, 11):
             assert random_strict_majorization_pair(new, n) == (
                 old_random_strict_majorization_pair(old, n, sampler=random_weight_vector)
             )
             assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize(
+    "sampler", [random_majorization_pair, random_strict_majorization_pair]
+)
+def test_pair_samplers_refuse_one_slot(sampler):
+    # two distinct slots cannot be picked from one, as random.sample refused
+    with pytest.raises(ValueError):
+        sampler(random.Random(0), 1)
+
+
+def test_pair_sampler_with_no_transforms_needs_no_pick():
+    # no transform is drawn, so one slot is fine and beta comes back as is
+    alpha, beta = random_majorization_pair(random.Random(0), 1, transforms=0)
+    assert alpha == beta == weight_vector(["1"])
 
 
 def test_matrix_integer_view_is_built_once_per_rebalance(monkeypatch):

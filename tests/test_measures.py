@@ -282,6 +282,44 @@ class TestAxiomSuite:
         assert data["axioms"]["positivity"]["passed"] is True
 
 
+def fraction_clearly_nonuniform(rng, n):
+    """The harness's nonuniform draw decided on Fractions: the first sampler
+    vector whose exact Hoover index is at least 1/(10n)."""
+    floor = F(1, 10 * n)
+    while True:
+        w = random_weight_vector(rng, n)
+        if hoover_by_definition(w) >= floor:
+            return w
+
+
+def hoover_by_definition(w):
+    """Half the l1 distance from equal weights, summed over Fractions."""
+    return sum(abs(x - F(1, w.n)) for x in w.weights) / 2
+
+
+class TestClearlyNonuniform:
+    def test_integer_test_matches_the_fraction_test(self):
+        for seed in range(60):
+            new, old = random.Random(seed), random.Random(seed)
+            for n in range(2, 11):
+                for _ in range(5):
+                    w = naivediv.measures._clearly_nonuniform(new, n)
+                    assert w == fraction_clearly_nonuniform(old, n)
+                    assert new.getstate() == old.getstate()
+
+    def test_verdict_at_the_floor(self, monkeypatch):
+        # n = 2: (1/2 + h, 1/2 - h) has Hoover index h against a floor of
+        # 1/20; a draw just below is refused, one exactly at it is kept
+        h = F(1, 10**9)
+        below = WeightVector((F(11, 20) - h, F(9, 20) + h))
+        at = weight_vector(["11/20", "9/20"])
+        assert hoover_by_definition(below) < F(1, 20) == hoover_by_definition(at)
+        draws = iter([uniform_vector(2), below, at, uniform_vector(2)])
+        monkeypatch.setattr(naivediv.measures, "random_weight_vector", lambda rng, n: next(draws))
+        assert naivediv.measures._clearly_nonuniform(random.Random(0), 2) is at
+        assert next(draws) == uniform_vector(2)
+
+
 class TestSchurOstrowski:
     POINT = weight_vector(["1/2", "3/10", "1/5"])
 

@@ -16,7 +16,9 @@ from naivediv.simplex import (
     LorenzCurve,
     MajorizationRelation,
     WeightVector,
+    _below,
     _from_ints,
+    _pick_two,
     _sampler_counts,
     compare,
     decreasing_rearrangement,
@@ -343,6 +345,43 @@ class TestSamplerAgainstTheFractionSampler:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="need at least one slot"):
             random_weight_vector(random.Random(0), 0)
+
+
+def refuse_to_draw(bits):
+    raise AssertionError("drew from the stream")
+
+
+class TestDrawHelpers:
+    """The samplers read ``getrandbits`` directly; these helpers must leave
+    the same numbers and the same generator state as ``random.Random``'s
+    ``randrange`` and ``sample`` built on it."""
+
+    def test_below_is_randrange(self):
+        for seed in range(20):
+            new, old = random.Random(seed), random.Random(seed)
+            for bound in [*range(1, 130), 2**31, 10**6 * 7 - 1, 3**60]:
+                assert _below(new.getrandbits, bound) == old.randrange(bound)
+                assert new.getstate() == old.getstate()
+
+    def test_pick_two_is_sample(self):
+        # up to n = 21 sample swaps through a pool list, beyond it redraws
+        # repeats from a set: both branches, and the switch between them
+        for seed in range(60):
+            new, old = random.Random(seed), random.Random(seed)
+            for n in [*range(2, 41), 64, 1000]:
+                assert list(_pick_two(new.getrandbits, n)) == old.sample(range(n), 2)
+                assert new.getstate() == old.getstate()
+
+    @pytest.mark.parametrize("bound", [0, -1, -(2**40)])
+    def test_below_refuses_an_empty_range_without_drawing(self, bound):
+        # getrandbits(0) is always 0, so a zero bound would spin forever
+        with pytest.raises(ValueError, match="positive bound"):
+            _below(refuse_to_draw, bound)
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_pick_two_refuses_fewer_than_two_slots_without_drawing(self, n):
+        with pytest.raises(ValueError, match="at least two slots"):
+            _pick_two(refuse_to_draw, n)
 
 
 def compare_by_partial_sums(alpha, beta):
