@@ -35,11 +35,11 @@ from typing import Sequence
 from . import fileio
 from .errors import DimensionMismatch, NotMajorized
 from .simplex import (
+    _curve_order,
+    _fraction_text,
     _lorenz_ints,
     _rational_strings,
     compare,
-    lorenz_curve,
-    lorenz_dominates,
     uniform_vector,
 )
 
@@ -269,7 +269,8 @@ def _cmd_compare(args, config: CliConfig) -> int:
     first = fileio.load_weights(args.first)
     second = fileio.load_weights(args.second)
     if args.lorenz:
-        relation = lorenz_dominates(lorenz_curve(first), lorenz_curve(second))
+        # the integer curves: no LorenzCurve of Fraction points is built
+        relation = _curve_order(_lorenz_ints(first), _lorenz_ints(second))
         pairs = [("relation", relation.value)]
     else:
         from .preferences import _FROM_RELATION
@@ -369,7 +370,7 @@ def _cmd_aversion(args, config: CliConfig) -> int:
     _emit(
         _render_pairs(
             [
-                ("aversion_squared", str(squared)),
+                ("aversion_squared", _fraction_text(squared)),
                 ("aversion", _fmt(coefficient, config)),
             ],
             config,

@@ -5,15 +5,21 @@ Machine formats keep every number as an exact rational string ("1/2",
 like practical turnover and cost.  Weight files are JSON by default, CSV
 when the path ends in .csv.
 
-Every number is read by one parser, ``_rational_pair``, into a pair of
-ints ``(p, q)``: a plain ASCII ``p/q`` or ``p`` goes straight to ``int``,
-and every other form (signs, whitespace, decimals, exponents, underscores,
-non-ASCII digits, non-string JSON values) through ``Fraction``.  So it
-accepts exactly what ``Fraction`` accepts, with the same values and the
-same errors.  Weight vectors are built from those pairs on ints
-(``_weight_vector``); their Fraction entries are made only when something
-reads them.  A vector that breaks an invariant is reported with its file
-and field, e.g. ``w.json: 'weights': weights must sum to exactly 1, ...``.
+Every weight vector, allocation row and plan intermediate is built on
+ints by ``_weight_vector``; its Fraction entries are made only when
+something reads them.  A list whose entries are all plain ASCII ``p/q``
+or ``p`` is read whole (``_plain_view``): joined and checked once, split
+into numerator and denominator columns that go to ``int`` through
+``map``, and put over the lcm of the distinct denominators.  Any other
+list, and any that fails there (a zero denominator, a part past ``int``'s
+4,300-digit limit), goes entry by entry through ``_rational_pair``, the
+one parser of single numbers: a plain ASCII ``p/q`` or ``p`` goes
+straight to ``int``, and every other form (signs, whitespace, decimals,
+exponents, underscores, non-ASCII digits, non-string JSON values) through
+``Fraction``.  Both accept exactly what ``Fraction`` accepts, with the
+same values and the same errors.  A vector that breaks an invariant is
+reported with its file and field, e.g. ``w.json: 'weights': weights must
+sum to exactly 1, ...``.
 """
 
 from __future__ import annotations
@@ -23,12 +29,15 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .simplex import (
     WeightVector,
     _checked_labels,
+    _fraction_text,
     _from_ints,
     _rational_strings,
     as_fraction,
@@ -43,13 +52,13 @@ if TYPE_CHECKING:
 
 def _rational_pair(value: object) -> tuple[int, int]:
     """``(p, q)`` with q > 0 and p / q the exact value of a number in a file."""
-    if isinstance(value, str) and value.isascii():
-        p, slash, q = value.partition("/")
-        if p.isdigit() and (q.isdigit() or not slash):
-            q = int(q) if slash else 1
-            if q:
-                return int(p), q
     try:
+        if isinstance(value, str) and value.isascii():
+            p, slash, q = value.partition("/")
+            if p.isdigit() and (q.isdigit() or not slash):
+                q = int(q) if slash else 1
+                if q:
+                    return int(p), q
         x = as_fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {value!r}") from exc
@@ -76,10 +85,61 @@ def _weight_vector(
         except ValueError as exc:
             raise type(exc)(f"{labels_where}: {exc}") from None
     try:
-        nums, scale = _over_lcm([_rational_pair(x) for x in values])
+        nums, scale = _plain_view(values) or _over_lcm(
+            [_rational_pair(x) for x in values]
+        )
         return _from_ints(nums, scale, labels)
     except ValueError as exc:
         raise type(exc)(f"{where}: {exc}") from None
+
+
+#: Deletes the ASCII digits: what a vector of plain entries joined by
+#: commas keeps is its separators.
+_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _plain_view(values: Sequence[object]) -> tuple[list[int], int] | None:
+    """``_over_lcm`` of the entries, read from the whole list at once when
+    every entry is a plain ASCII ``p/q`` or ``p``; None for any other list,
+    or when an entry fails (a zero denominator, a part past ``int``'s digit
+    limit), so that ``_rational_pair`` decides every entry.
+
+    The lcm is taken over the distinct denominators, and each one's
+    multiplier is computed once.  A function of its own so that the joined
+    text and the split cells are freed before the vector is built.
+    """
+    if not values:
+        return None
+    try:
+        text = ",".join(values)
+    except TypeError:  # a value that is not a string
+        return None
+    # Once the digits are gone, the n - 1 commas must be all that is left
+    # besides at most one slash per entry; then no entry can shift the
+    # stride of the cells split below (an empty cell fails in int).
+    seps = text.translate(_DIGITS)
+    if seps.replace("/", "") != "," * (len(values) - 1) or "//" in seps:
+        return None
+    if seps.count("/") < len(values):  # a bare p: it is p/1
+        values = [v if "/" in v else v + "/1" for v in values]
+    del text, seps
+    cells = "/".join(values).split("/")
+    try:
+        dens = {q: int(q) for q in set(islice(cells, 1, None, 2))}
+        if not all(dens.values()):
+            return None
+        scale = math.lcm(*dens.values())
+        multiplier = {q: scale // d for q, d in dens.items()}
+        nums = list(
+            map(
+                mul,
+                map(int, islice(cells, 0, None, 2)),
+                map(multiplier.__getitem__, islice(cells, 1, None, 2)),
+            )
+        )
+    except ValueError:
+        return None
+    return nums, scale
 
 
 def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -185,13 +245,20 @@ def load_square_matrix(path: str | Path) -> SquareMatrix:
     """Read a square rational matrix from its JSON file form."""
     from .matrices import SquareMatrix
 
-    data, grid = _entries(Path(path))
-    rows = tuple(tuple(parse_rational(e) for e in row) for row in grid)
-    matrix = SquareMatrix(rows)
+    p = Path(path)
+    data, grid = _entries(p)
+    rows = []
+    for i, row in enumerate(grid, 1):
+        try:
+            rows.append(tuple(parse_rational(e) for e in row))
+        except ValueError as exc:
+            raise ValueError(f"{p}: row {i} of 'entries': {exc}") from None
+    matrix = SquareMatrix(tuple(rows))
     declared = data.get("order")
     if declared is not None and declared != matrix.order:
         raise ValueError(
-            f"declared order {declared} but entries are {matrix.order}x{matrix.order}"
+            f"{p}: 'order': declared order {declared} but entries are "
+            f"{matrix.order}x{matrix.order}"
         )
     return matrix
 
@@ -216,15 +283,17 @@ def plan_to_dict(plan: RebalancePlan, precision: int = 12) -> dict:
         "source": weights_to_dict(plan.source),
         "target": weights_to_dict(plan.target),
         "steps": [
-            {"j": t.j + 1, "k": t.k + 1, "lambda": str(t.lam)} for t in plan.steps
+            {"j": t.j + 1, "k": t.k + 1, "lambda": _fraction_text(t.lam)}
+            for t in plan.steps
         ],
         "intermediates": [list(w.as_strings()) for w in plan.intermediates],
-        "turnover": str(plan.turnover),
+        "turnover": _fraction_text(plan.turnover),
         "practical_turnover": (
             json_float(practical, precision) if practical is not None else None
         ),
         "trades": [
-            {"label": label, "delta": str(delta)} for label, delta in plan.trades
+            {"label": label, "delta": _fraction_text(delta)}
+            for label, delta in plan.trades
         ],
         "cost": json_float(plan.cost, precision),
         "cost_rate": json_float(plan.cost_rate, precision),

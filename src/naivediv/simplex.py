@@ -18,6 +18,7 @@ is what a naive diversifier prefers.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import random
@@ -150,9 +151,29 @@ def _rational_strings(nums: Iterable[int], scale: int) -> tuple[str, ...]:
     out = []
     for x in nums:
         g = math.gcd(x, scale)
-        q = scale // g
-        out.append(f"{x // g}/{q}" if q != 1 else str(x // g))
+        p, q = x // g, scale // g
+        try:
+            out.append(f"{p}/{q}" if q != 1 else str(p))
+        except ValueError:  # an int past the int-to-text digit limit
+            out.append(_fraction_text(Fraction(p, q)))
     return tuple(out)
+
+
+def _fraction_text(x: Fraction) -> str:
+    """``str(x)``, its integers written by ``_int_text``."""
+    p = _int_text(x.numerator)
+    return f"{p}/{_int_text(x.denominator)}" if x.denominator != 1 else p
+
+
+def _int_text(x: int) -> str:
+    """``str(x)``, also for an int past CPython's limit on the digits of an
+    int-to-text conversion (``sys.set_int_max_str_digits``): ``decimal``
+    converts it exactly and has no such limit.  The limit on reading input
+    stays."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(decimal.Context(prec=decimal.MAX_PREC).create_decimal(x))
 
 
 def _checked_labels(

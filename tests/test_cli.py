@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, run in-process for speed."""
 
+import contextlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,6 +12,14 @@ import pytest
 
 from naivediv.cli import main
 from naivediv.fileio import plan_from_dict
+from naivediv.simplex import (
+    LorenzCurve,
+    lorenz_curve,
+    lorenz_dominates,
+    random_weight_vector,
+    uniform_vector,
+    weight_vector,
+)
 
 
 def run_cli(argv, capsys):
@@ -72,6 +82,39 @@ class TestCompare:
         )
         assert code == 0
         assert "EqualUpToPermutation" in out
+
+    def test_lorenz_verdicts_match_the_fraction_curves(self, tmp_path, capsys, monkeypatch):
+        # the verdict is read from the integer curves, with no LorenzCurve
+        # built; the oracle compares the Fraction curves
+        rng = random.Random(13)
+        vectors = [
+            uniform_vector(2),
+            uniform_vector(3),
+            weight_vector(["1/2", "1/4", "1/4", "0"]),
+            weight_vector(["1/4", "1/4", "1/8", "1/8", "1/8", "1/8"]),
+            weight_vector(["1/8", "1/8", "1/4", "1/2"]),
+            *(random_weight_vector(rng, n) for n in (3, 4, 4, 6)),
+        ]
+        paths = []
+        for i, w in enumerate(vectors):
+            paths.append(tmp_path / f"w{i}.json")
+            paths[-1].write_text(json.dumps({"weights": list(w.as_strings())}))
+        expected = {
+            (i, j): lorenz_dominates(lorenz_curve(a), lorenz_curve(b)).value
+            for i, a in enumerate(vectors)
+            for j, b in enumerate(vectors)
+        }
+        assert len(set(expected.values())) == 4
+
+        def refuse(self):
+            raise AssertionError("compare --lorenz built a LorenzCurve")
+
+        monkeypatch.setattr(LorenzCurve, "__post_init__", refuse)
+        for (i, j), relation in expected.items():
+            argv = ["compare", "--lorenz", str(paths[i]), str(paths[j]), "--format", "json"]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"relation": relation}
 
     def test_plain_compare_rejects_unequal_lengths(self, tmp_path, capsys):
         two = tmp_path / "two.json"
@@ -409,6 +452,75 @@ class TestMultiCheck:
             f"naivediv: {target} vs {source}: "
             "all rows must share one length: rows of length 2 vs 2, 3\n"
         )
+
+
+@contextlib.contextmanager
+def no_int_text_limit():
+    """CPython's limit on the digits of int-text conversions lifted, for
+    an oracle that reads or writes longer integers."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestHugeDenominators:
+    """A file whose entries share a 4,300-digit denominator, the longest
+    integer CPython reads from text by default, loads; so every subcommand
+    answers it, even where its output integers run past that limit
+    (``aversion`` squares the scale, ``lorenz`` multiplies it by
+    lcm(n, N))."""
+
+    Q = 2 * 10**4299 + 3
+    NUMS = (Q // 2, Q // 3, Q - Q // 2 - Q // 3)
+
+    @pytest.fixture
+    def huge_file(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"weights": [f"{a}/{self.Q}" for a in self.NUMS]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "W", "W"],
+            ["compare", "--lorenz", "W", "W"],
+            ["rebalance", "W"],
+            ["measures", "W"],
+            ["aversion", "W"],
+            ["lorenz", "W", "--points", "7"],
+        ],
+        ids=" ".join,
+    )
+    def test_answers(self, huge_file, argv, capsys):
+        argv = [huge_file if a == "W" else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out
+
+    def test_aversion_squared_is_exact(self, huge_file, capsys):
+        code, out, err = run_cli(["aversion", huge_file, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        got = json.loads(out)["aversion_squared"]
+        assert len(got) > 2 * 4300
+        with no_int_text_limit():
+            expected = sum((F(a, self.Q) - F(1, 3)) ** 2 for a in self.NUMS)
+            assert got == str(expected)
+
+    def test_lorenz_points_are_exact(self, huge_file, capsys):
+        argv = ["lorenz", huge_file, "--points", "7", "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        points = json.loads(out)["points"]
+        assert max(len(p["value"].partition("/")[2]) for p in points) > 4300
+        with no_int_text_limit():
+            curve = lorenz_curve(weight_vector([F(a, self.Q) for a in self.NUMS]))
+            ts = sorted({F(k, 3) for k in range(4)} | {F(i, 7) for i in range(8)})
+            assert points == [
+                {"t": str(t), "value": str(curve.value_at(t))} for t in ts
+            ]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from naivediv.errors import DimensionMismatch, LengthMismatch
+import naivediv.fileio
 from naivediv.fileio import (
     _rational_pair,
+    _weight_vector,
     format_float,
     json_float,
     load_allocation_rows,
@@ -121,8 +124,20 @@ class TestMatrixFiles:
         data["order"] = 3
         path = tmp_path / "m.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             load_square_matrix(path)
+        assert str(excinfo.value) == (
+            f"{path}: 'order': declared order 3 but entries are 2x2"
+        )
+
+    def test_bad_entry_names_the_file_and_row(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": [["1/2", "1/2"], ["1/2", "x"]]}))
+        with pytest.raises(ValueError) as excinfo:
+            load_square_matrix(path)
+        assert str(excinfo.value) == (
+            f"{path}: row 2 of 'entries': not a rational number: 'x'"
+        )
 
     def test_missing_entries(self, tmp_path):
         path = tmp_path / "m.json"
@@ -355,6 +370,10 @@ class TestIntegerParserAgainstFractions:
             "1 /2", "abc", "inf", "nan", "1/-2",
             1, 0, -1, 10**30, 0.5, 2.5e-3, 1e300, float("nan"), True, False,
             None, [1], {"p": 1},
+            # parts past int's 4,300-digit limit on reading text
+            pytest.param("1" * 4301 + "/3", id="4301-digit-p/3"),
+            pytest.param("1/" + "3" * 4301, id="1/4301-digit-q"),
+            pytest.param("1" * 4301, id="4301-digit-p"),
         ],
     )
     def test_hand_picked(self, value):
@@ -386,6 +405,122 @@ class TestIntegerParserAgainstFractions:
             assert w == expected
             assert (w._scale, w._nums) == (expected._scale, expected._nums)
             assert w.weights == expected.weights
+
+
+def fraction_vector(values):
+    """The vector the whole-vector reader replaced: every entry read with
+    ``fraction_reader``, errors prefixed as ``_weight_vector(values, "w")``
+    prefixes them."""
+    try:
+        return WeightVector(tuple(fraction_reader(x) for x in values))
+    except ValueError as exc:
+        raise type(exc)(f"w: {exc}") from None
+
+
+def vector_outcome(read, values):
+    """``read(values)``'s integer view, or its exception type and message."""
+    try:
+        w = read(values)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return w._scale, w._nums
+
+
+#: Runs of entries spliced into plain vectors: each could mislead a reader
+#: of the joined text, or must reach the per-entry parser.
+TRAPS = [
+    ["1/2/3", "5"], ["5", "1/2/3"], ["1,2"], ["1/2,3"], [","], ["0"], ["1"],
+    ["1/00"], ["0/0"], ["007/010"], [""], ["/3"], ["3/"], ["//"], ["1//2"],
+    ["١/٢"], ["１/３"], ["٣"], ["1" * 4301 + "/3"], ["1/" + "3" * 4301],
+    ["1" * 4301], [" 1/2"], ["1/2 "], ["1/ 2"], ["+1/2"], ["-1/2"], ["1/-2"],
+    ["1/+2"], ["-0"], ["0.5"], ["1e-1"], ["1_0/20"], ["1/2\n"], [1], [0], [0.5],
+    [True], [False], [None],
+]
+
+
+@st.composite
+def plain_vectors_with_traps(draw):
+    """A lattice vector summing to 1, each entry written as ``p/q`` or
+    ``p`` in lowest terms, over the lattice or zero-padded; some lists get
+    up to two runs of ``TRAPS`` spliced in or swapped for entries."""
+    n = draw(st.integers(1, 8))
+    lattice = draw(st.integers(1, 60))
+    cuts = sorted(draw(st.lists(st.integers(0, lattice), min_size=n - 1, max_size=n - 1)))
+    values = []
+    for a, b in zip([0, *cuts], [*cuts, lattice]):
+        x = F(b - a, lattice)
+        form = draw(st.sampled_from(["lowest", "lattice", "padded"]))
+        if form == "lowest":
+            values.append(str(x))
+        elif form == "lattice":
+            values.append(f"{b - a}/{lattice}")
+        else:
+            values.append(f"00{x.numerator}/0{x.denominator}")
+    for _ in range(draw(st.integers(0, 2))):
+        trap = draw(st.sampled_from(TRAPS))
+        i = draw(st.integers(0, len(values) - 1))
+        values[i : i + draw(st.integers(0, 1))] = trap
+    return values
+
+
+class TestWholeVectorReader:
+    """``_weight_vector`` reads a list of plain entries all at once and hands
+    every other list to ``_rational_pair``, entry by entry: either way the
+    vector, or the error, is the one per-entry ``Fraction`` parsing gives."""
+
+    @staticmethod
+    def check(values):
+        assert vector_outcome(lambda v: _weight_vector(v, "w"), values) == (
+            vector_outcome(fraction_vector, values)
+        )
+
+    @given(plain_vectors_with_traps())
+    def test_drawn_against_fractions(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [], ["1,0"], ["1/2", "1/2,0"], ["1", "0", "0"], ["0", "007/014", "1/2"],
+            ["1/3", "1/3", "1/3"],
+        ],
+    )
+    def test_hand_picked(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize(
+        "trap", TRAPS, ids=lambda t: re.sub(r"\d{9,}", "<digits>", repr(t))
+    )
+    def test_each_trap(self, trap):
+        self.check(["1/4", *trap, "1/2", "1/4"])
+        self.check(trap)
+
+    def test_plain_vectors_never_reach_the_entry_parser(self, tmp_path, monkeypatch):
+        rng = random.Random(16)
+        lattice = 10**6 * 300
+        cuts = sorted(rng.sample(range(1, lattice), 299))
+        book = [F(b - a, lattice) for a, b in zip([0, *cuts], [*cuts, lattice])]
+        raw = [F(rng.randint(1, 10**14), rng.randint(1, 10**14)) for _ in range(64)]
+        normalized = [x / sum(raw) for x in raw]
+        assert max(x.denominator.bit_length() for x in normalized) > 2500
+        vectors = [book, normalized, [F(1), F(0), F(0)], [F(0), F(1, 2), F(1, 2)]]
+        paths = []
+        for i, v in enumerate(vectors):
+            paths.append(tmp_path / f"w{i}.json")
+            paths[-1].write_text(json.dumps({"weights": [str(x) for x in v]}))
+        csv_path = tmp_path / "w.csv"
+        csv_path.write_text("label,weight\n" + "".join(f"s{i},{x}\n" for i, x in enumerate(book)))
+        rows_path = tmp_path / "rows.json"
+        rows_path.write_text(json.dumps({"entries": [[str(x) for x in v] for v in vectors[2:]]}))
+
+        def refuse(value):
+            raise AssertionError(f"{value!r} was read entry by entry")
+
+        monkeypatch.setattr(naivediv.fileio, "_rational_pair", refuse)
+        loaded = [load_weights(path) for path in paths]
+        assert [w.weights for w in loaded] == [tuple(v) for v in vectors]
+        assert load_weights(csv_path).weights == tuple(book)
+        assert load_allocation_rows(rows_path) == loaded[2:]
 
 
 class TestVectorErrorsNameTheField:
