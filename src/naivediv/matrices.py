@@ -47,7 +47,6 @@ from .simplex import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -421,21 +420,21 @@ def _mixing_witness(
     n row sums, then the first n - 1 column equations of each pair in turn.
     The two vectors of a pair have equal sums, so the row sums imply its
     last column equation: sum_c (u @ P)_c == sum(u) == sum(v).
+
+    Every equation is the rational one times one common scale, the lcm of
+    the pairs' scales, so the LP pivots as on the rational system (see
+    ``lp``: its phase one weighs each equation as given).
     """
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for r in range(n):
-        coeffs = [ZERO] * (n * n)
-        coeffs[r * n : (r + 1) * n] = [ONE] * n
-        rows.append(coeffs)
-        rhs.append(ONE)
+    scale = math.lcm(*(s for pair in pairs for s, _ in pair))
+    rows = [[0] * (r * n) + [scale] * n + [0] * ((n - 1 - r) * n) for r in range(n)]
+    rhs = [scale] * n
     for (u_scale, us), (v_scale, vs) in pairs:
-        u = [Fraction(x, u_scale) for x in us]
+        u = [x * (scale // u_scale) for x in us]
         for c in range(n - 1):
-            coeffs = [ZERO] * (n * n)
+            coeffs = [0] * (n * n)
             coeffs[c :: n] = u
             rows.append(coeffs)
-            rhs.append(Fraction(vs[c], v_scale))
+            rhs.append(vs[c] * (scale // v_scale))
     # imported here, not at the top: only the LP builder needs lp, and
     # `naivediv rebalance` loads matrices without it
     from . import lp
@@ -443,8 +442,9 @@ def _mixing_witness(
     solution = lp.solve_equality_feasibility(rows, rhs)
     if solution is None:
         return None
-    scale, a = _integer_view([solution[r * n : (r + 1) * n] for r in range(n)])
-    return _confirmed(SquareMatrix._from_ints(a, scale), pairs)
+    x_scale, xs = solution
+    a = [xs[r * n : (r + 1) * n] for r in range(n)]
+    return _confirmed(SquareMatrix._from_ints(a, x_scale), pairs)
 
 
 def multivariate_feasible(

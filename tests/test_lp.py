@@ -1,5 +1,6 @@
 """Exact phase-one feasibility solver."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,19 @@ from naivediv.matrices import (
 from naivediv.simplex import random_weight_vector
 
 
+def solve(rows, rhs):
+    """The solver on a rational system written over one common denominator,
+    so that it pivots as on the rational system; its answer as Fractions."""
+    den = math.lcm(*(v.denominator for row in [*rows, rhs] for v in row))
+    answer = solve_equality_feasibility(
+        [[int(v * den) for v in row] for row in rows], [int(b * den) for b in rhs]
+    )
+    if answer is None:
+        return None
+    scale, xs = answer
+    return [F(x, scale) for x in xs]
+
+
 def check(rows, rhs, x):
     for row, b in zip(rows, rhs):
         assert sum(c * v for c, v in zip(row, x)) == b
@@ -26,26 +40,26 @@ def check(rows, rhs, x):
 def test_single_equation():
     rows = [[F(1), F(1)]]
     rhs = [F(1)]
-    x = solve_equality_feasibility(rows, rhs)
+    x = solve(rows, rhs)
     assert x is not None
     check(rows, rhs, x)
 
 
 def test_infeasible_sign():
     # x1 + x2 = -1 has no nonnegative solution
-    assert solve_equality_feasibility([[F(1), F(1)]], [F(-1)]) is None
+    assert solve([[F(1), F(1)]], [F(-1)]) is None
 
 
 def test_infeasible_conflict():
     rows = [[F(1), F(0)], [F(1), F(0)]]
     rhs = [F(1), F(2)]
-    assert solve_equality_feasibility(rows, rhs) is None
+    assert solve(rows, rhs) is None
 
 
 def test_redundant_rows_are_fine():
     rows = [[F(1), F(1)], [F(2), F(2)]]
     rhs = [F(1), F(2)]
-    x = solve_equality_feasibility(rows, rhs)
+    x = solve(rows, rhs)
     assert x is not None
     check(rows, rhs, x)
 
@@ -53,7 +67,7 @@ def test_redundant_rows_are_fine():
 def test_zero_rhs():
     rows = [[F(1), F(-1)]]
     rhs = [F(0)]
-    x = solve_equality_feasibility(rows, rhs)
+    x = solve(rows, rhs)
     assert x is not None
     check(rows, rhs, x)
 
@@ -63,10 +77,18 @@ def test_exactness_with_awkward_rationals():
     eps = F(1, 10**12)
     rows = [[F(1), F(1), F(1)], [F(1), F(0), F(0)]]
     rhs = [F(1), eps]
-    x = solve_equality_feasibility(rows, rhs)
+    x = solve(rows, rhs)
     assert x is not None
     assert x[0] == eps
     check(rows, rhs, x)
+
+
+def test_answers_come_as_the_integer_view():
+    # 2x + 3y = 1: y enters on the more negative cost and takes the value 1/3
+    assert solve_equality_feasibility([[2, 3]], [1]) == (3, [0, 1])
+    # the lcm of the denominators 2 and 3, and nothing larger
+    assert solve_equality_feasibility([[2, 0], [0, 3]], [1, 1]) == (6, [3, 2])
+    assert solve_equality_feasibility([], []) == (1, [])
 
 
 def _tableau(rows, rhs):
@@ -196,7 +218,7 @@ def bland_solve(rows, rhs, pivots=None):
 def agrees_with_both_oracles(rows, rhs):
     """The solver's answer, once it has matched the new-rule oracle exactly,
     the Bland oracle's verdict, and (when feasible) the system."""
-    x = solve_equality_feasibility(rows, rhs)
+    x = solve(rows, rhs)
     assert x == reference_solve(rows, rhs)
     assert (x is None) == (bland_solve(rows, rhs) is None)
     if x is not None:
@@ -269,8 +291,9 @@ def test_same_answers_as_the_reference_loop_on_degenerate_systems():
 
 
 def mixing_systems(rng, count):
-    """(rows, rhs) as `_mixing_witness` poses them on sampler stacks, whose
-    entries have large denominators that differ from entry to entry."""
+    """The integer (rows, rhs) that `_mixing_witness` poses on sampler
+    stacks, whose entries have large denominators that differ from entry to
+    entry."""
     systems = []
 
     def view(w):
@@ -323,23 +346,33 @@ def test_same_answers_as_the_reference_loop_on_mixing_systems():
 
 #: ``lp._pivot`` calls over the stacks of ``test_pivot_count_is_pinned``
 PINNED_PIVOTS = 144
+#: The largest bit-length of a tableau entry over the same stacks
+PINNED_ENTRY_BITS = 272
 
 
 def test_pivot_count_is_pinned(monkeypatch):
     # A deterministic work guard: the pivots over a fixed set of
-    # library-built feasible stacks, one for each n in 4..6 and d in 2..3.
-    # More pivots fail here on any machine, with no timing noise.
+    # library-built feasible stacks, one for each n in 4..6 and d in 2..3,
+    # and the size of the largest integer the tableau holds on the way.
+    # More pivots or larger entries fail here on any machine, with no
+    # timing noise.
     systems = []
     pivots = []
+    bits = []
     solve, pivot = lp.solve_equality_feasibility, lp._pivot
 
     def recorded(rows, rhs):
         systems.append((rows, rhs))
         return solve(rows, rhs)
 
-    def counted(*args):
-        pivots.append(args)
-        return pivot(*args)
+    def largest(tableau):
+        return max(abs(e).bit_length() for row in tableau for e in row)
+
+    def counted(tableau, row, col):
+        pivots.append((row, col))
+        bits.append(largest(tableau))
+        pivot(tableau, row, col)
+        bits.append(largest(tableau))
 
     monkeypatch.setattr(lp, "solve_equality_feasibility", recorded)
     monkeypatch.setattr(lp, "_pivot", counted)
@@ -351,7 +384,51 @@ def test_pivot_count_is_pinned(monkeypatch):
         assert multivariate_feasible([apply(y, p) for y in ys], ys) is not None
     assert len(systems) == 6
     assert len(pivots) == PINNED_PIVOTS
+    assert max(bits) == PINNED_ENTRY_BITS
     bland = []
     for rows, rhs in systems:
         bland_solve(rows, rhs, bland)
     assert len(pivots) < len(bland)
+
+
+def test_scaling_equations(monkeypatch):
+    # One common factor on every equation leaves the pivots and the
+    # solution as they are.  A factor on one equation changes the weight
+    # of its artificial in the phase-one objective, so it may change the
+    # pivots, but never the verdict.
+    rng = random.Random(149)
+    systems = mixing_systems(rng, 30)
+    systems += [
+        ([[int(c) for c in row] for row in rows], [int(b) for b in rhs])
+        for rows, rhs in degenerate_systems(rng, 60)
+    ]
+    pivots = []
+    pivot = lp._pivot
+
+    def counted(tableau, row, col):
+        pivots.append((row, col))
+        pivot(tableau, row, col)
+
+    def run(rows, rhs):
+        pivots.clear()
+        return solve_equality_feasibility(rows, rhs), list(pivots)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    moved = 0
+    for rows, rhs in systems:
+        x, path = run(rows, rhs)
+        k = rng.randint(2, 10**9)
+        scaled = run([[k * c for c in row] for row in rows], [k * b for b in rhs])
+        assert scaled == (x, path)
+        i = rng.randrange(len(rows))
+        rows_i = [[k * c for c in row] if r == i else row for r, row in enumerate(rows)]
+        rhs_i = [k * b if r == i else b for r, b in enumerate(rhs)]
+        y, path_i = run(rows_i, rhs_i)
+        assert (y is None) == (x is None)
+        if y is not None:
+            scale, xs = y
+            check(rows, rhs, [F(v, scale) for v in xs])
+        moved += path_i != path
+    # the per-equation scale does steer the pivots, so a caller must
+    # choose one common scale to keep them
+    assert moved > 0

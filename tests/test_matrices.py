@@ -1,10 +1,13 @@
 """Doubly stochastic matrices, transforms, decompositions, witnesses."""
 
 import copy
+import fractions
+import json
 import math
 import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,6 +20,7 @@ from old_sampler import (
     old_random_strict_majorization_pair,
     old_random_weight_vector,
 )
+import naivediv.cli
 import naivediv.lp
 import naivediv.matrices
 import naivediv.measures
@@ -687,7 +691,7 @@ class TestMultivariateFeasible:
         # a nonnegative point with unit row sums that carries no row: the
         # exact check rejects it rather than return it as a witness
         def wrong(rows, rhs):
-            return [F(1, 3)] * len(rows[0])
+            return 3, [1] * len(rows[0])
 
         monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", wrong)
         y = [weight_vector(["1/2", "1/3", "1/6"]), weight_vector(["1/2", "1/2", "0"])]
@@ -741,7 +745,7 @@ class TestDStochasticWitness:
     def test_a_wrong_lp_point_is_caught(self, monkeypatch):
         # each row of A sums to 1 and d @ A == d, but beta @ A != alpha
         def wrong(rows, rhs):
-            return [F(1, 3)] * len(rows[0])
+            return 3, [1] * len(rows[0])
 
         monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", wrong)
         d = uniform_vector(3)
@@ -902,3 +906,35 @@ def test_membership_checks_build_no_view_for_their_vectors(monkeypatch):
     assert is_d_stochastic(fixing, d)
     assert not is_d_stochastic(p, d)
     assert built == []
+
+
+def test_the_witness_path_builds_no_fraction(monkeypatch, capsys):
+    # the stack is read as integer views, the LP runs on int rows and the
+    # witness is written from its integer view, so with Fraction refused
+    # both witness searches give the same answers
+    golden = Path(__file__).parent / "golden"
+    argv = [
+        "multi-check",
+        str(golden / "multi_check_targets.json"),
+        str(golden / "multi_check_sources.json"),
+        "--format",
+        "json",
+    ]
+    assert naivediv.cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["feasible"] is True
+    d = weight_vector(["1/2", "1/4", "1/4"])
+    beta = weight_vector(["7/10", "1/5", "1/10"])
+    alpha = weight_vector(["3/5", "1/4", "3/20"])
+    witness = d_stochastic_witness(beta, alpha, d)
+    assert witness is not None
+
+    def refused(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refused)
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        F(1)
+    assert naivediv.cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert d_stochastic_witness(beta, alpha, d) == witness
