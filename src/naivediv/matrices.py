@@ -35,15 +35,16 @@ from .errors import (
     NotMajorized,
 )
 from .simplex import (
+    _SAMPLER_LATTICE,
     WeightVector,
     _below,
     _from_ints,
     _integer_view,
+    _Ints,
     _pick_two,
     _sampler_counts,
     as_fraction,
     majorizes,
-    random_weight_vector,
 )
 
 ZERO = Fraction(0)
@@ -194,10 +195,6 @@ class TTransform:
         if lam < 0 or lam > 1:
             raise ValueError("mixing weight must lie in [0, 1]")
         object.__setattr__(self, "lam", lam)
-
-
-#: A vector as ``(scale, nums)``, its entries nums / scale.
-_Ints = tuple[int, Sequence[int]]
 
 
 def _carries(m: SquareMatrix, pairs: Iterable[tuple[_Ints, _Ints]]) -> bool:
@@ -525,27 +522,66 @@ def random_doubly_stochastic(
     return DoublyStochasticMatrix._mixture(raw, perms)
 
 
+def _majorization_pair_ints(
+    rng: random.Random, n: int, transforms: int | None = None
+) -> tuple[_Ints, _Ints]:
+    """``random_majorization_pair`` on integer views: (alpha, beta) as
+    ``(scale, nums)``, beta the sampler's counts over D = 10**6 * n and
+    alpha their image under the chain, neither in lowest terms."""
+    total = _SAMPLER_LATTICE * n
+    counts = _sampler_counts(rng, n)
+    draw = rng.getrandbits
+    # randint(a, b) is a + _randbelow(b - a + 1)
+    count = transforms if transforms is not None else 1 + _below(draw, max(1, n - 1))
+    scale, nums = total, counts
+    for _ in range(count):
+        j, k = _pick_two(draw, n)
+        scale, nums = _t_step(scale, nums, j, k, _below(draw, 101), 100)
+    return (scale, nums), (total, counts)
+
+
 def random_majorization_pair(
     rng: random.Random, n: int, transforms: int | None = None
 ) -> tuple[WeightVector, WeightVector]:
     """Seeded (alpha, beta) with beta majorizing alpha, built constructively.
 
-    ``beta`` is a random simplex point; ``alpha`` is its image under a short
-    chain of random averaging transforms.  Every draw reads
+    ``beta`` is a random simplex point, drawn as ``random_weight_vector``
+    draws it; ``alpha`` is its image under a short chain of random
+    averaging transforms, run on beta's integer view.  Every draw reads
     ``rng.getrandbits`` and consumes the stream that ``random.Random``'s
     ``randint`` and ``sample(range(n), 2)`` would, so a seed gives the pairs
     it always gave.
     """
-    beta = random_weight_vector(rng, n)
+    (a_scale, a), (b_scale, b) = _majorization_pair_ints(rng, n, transforms)
+    return _from_ints(a, a_scale), _from_ints(b, b_scale)
+
+
+def _strict_pair_ints(rng: random.Random, n: int) -> tuple[_Ints, _Ints]:
+    """``random_strict_majorization_pair`` on integer views: (alpha, beta)
+    as ``(scale, nums)``, neither in lowest terms.
+
+    Raises ValueError, before any draw, when n < 2 or when no draw can keep
+    every sorted gap at least 1/(20n): with counts over D = 10**6 * n that
+    is a gap of at least g = ceil(D / (20n)) counts, and n positive counts
+    so spaced sum to at least n + g * n(n - 1)/2, which must not exceed D.
+    """
+    if n < 2:
+        raise ValueError("need at least two slots to pick two")
+    total = _SAMPLER_LATTICE * n
+    least_gap = -(-total // (20 * n))
+    if n + least_gap * (n * (n - 1) // 2) > total:
+        raise ValueError(
+            f"no strict pair at n = {n}: sorted gaps of at least 1/(20n) "
+            "would need weights summing past 1"
+        )
+    while True:
+        counts = _sampler_counts(rng, n)
+        ordered = sorted(counts)
+        if 20 * n * min(map(operator.sub, ordered[1:], ordered)) >= total:
+            break
     draw = rng.getrandbits
-    # randint(a, b) is a + _randbelow(b - a + 1)
-    count = transforms if transforms is not None else 1 + _below(draw, max(1, n - 1))
-    # the chain runs on beta's integer view; alpha is built once at the end
-    scale, nums = beta._scale, beta._nums
-    for _ in range(count):
-        j, k = _pick_two(draw, n)
-        scale, nums = _t_step(scale, nums, j, k, _below(draw, 101), 100)
-    return _from_ints(nums, scale), beta
+    j, k = _pick_two(draw, n)
+    return _t_step(total, counts, j, k, 10 + _below(draw, 81), 100), (total, counts)
 
 
 def random_strict_majorization_pair(
@@ -553,23 +589,16 @@ def random_strict_majorization_pair(
 ) -> tuple[WeightVector, WeightVector]:
     """A pair with a comfortable strictness margin for float-based tests.
 
-    The source has well-separated sorted components and the single transfer
-    moves a non-trivial amount of mass, so any strictly order-reversing
-    measure separates the two by far more than float noise.  Like
-    ``random_majorization_pair`` it reads ``rng.getrandbits`` only, in the
-    stream of ``random.Random``'s ``sample`` and ``randint``.
+    The source has well-separated sorted components (every gap at least
+    1/(20n)) and the single transfer moves a non-trivial amount of mass, so
+    any strictly order-reversing measure separates the two by far more
+    than float noise.  Like ``random_majorization_pair`` it reads
+    ``rng.getrandbits`` only, in the stream of ``random.Random``'s
+    ``sample`` and ``randint``.  From n = 41 no draw can keep those gaps,
+    so it raises ValueError there without drawing.
     """
-    # sorted gaps of at least 1/(20n), tested on the draw's integer counts
-    while True:
-        counts = _sampler_counts(rng, n)
-        total = sum(counts)
-        ordered = sorted(counts, reverse=True)
-        if all(20 * n * (a - b) >= total for a, b in zip(ordered, ordered[1:])):
-            break
-    draw = rng.getrandbits
-    j, k = _pick_two(draw, n)
-    scale, nums = _t_step(total, counts, j, k, 10 + _below(draw, 81), 100)
-    return _from_ints(nums, scale), _from_ints(counts, total)
+    (a_scale, a), (b_scale, b) = _strict_pair_ints(rng, n)
+    return _from_ints(a, a_scale), _from_ints(b, b_scale)
 
 
 __all__ = [

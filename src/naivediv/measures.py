@@ -12,6 +12,13 @@ The registry also knows one deliberately mis-declared control measure
 (``log_control``, reachable by id but not listed): a root-mean-square of
 log-weights whose declared utility orientation contradicts its actual
 monotonicity, so a sound harness must flag it.
+
+Every measure reads an allocation's integer view ``(scale, nums)``.  A
+rational measure (Simpson, HHI, Hoover, Gini) has one exact form on that
+view, which returns its value as ``(num, den)`` on ints: ``evaluate`` is
+num / den, correctly rounded, and ``exact_value`` is Fraction(num, den).
+The axiom harness scores its sampled pairs and nonuniform draws straight
+on their views, so it builds no weight vector and no Fraction for them.
 """
 
 from __future__ import annotations
@@ -26,8 +33,12 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, NotMajorized, UnknownMeasure
 from .simplex import (
+    _SAMPLER_LATTICE,
     WeightVector,
     _hoover_exact,
+    _Ints,
+    _rational_strings,
+    _sampler_counts,
     _slot_gaps,
     _sum_of_squares,
     as_fraction,
@@ -54,7 +65,8 @@ class Direction(Enum):
 
 
 AmbientFn = Callable[[Sequence[float]], float]
-ExactFn = Callable[[WeightVector], Fraction]
+#: The integer view ``(scale, nums)`` in, the value as ``(num, den)`` out.
+ExactFn = Callable[[int, Sequence[int]], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -62,8 +74,11 @@ class MeasureSpec:
     """A named measure with evaluation rules and declared behavior.
 
     ``ambient`` evaluates on any positive float vector near the simplex
-    (no renormalization), which is what finite-difference probing needs;
-    ``exact`` is present only for measures whose value is rational.
+    (no renormalization), which is what finite-difference probing needs.
+    ``exact`` is present only for measures whose value is rational: it
+    takes an allocation's integer view ``(scale, nums)``, in lowest terms
+    or not, and returns the value as ``(num, den)`` with den > 0, so
+    ``evaluate`` is num / den and ``exact_value`` is Fraction(num, den).
     """
 
     id: str
@@ -74,8 +89,8 @@ class MeasureSpec:
 
 
 # --------------------------------------------------------------------------
-# Formulas.  Ambient versions take raw floats; exact versions take a weight
-# vector and read its integer view.
+# Formulas.  Ambient versions take raw floats; exact versions take an
+# integer view (scale, nums) and return the value as (num, den).
 # --------------------------------------------------------------------------
 
 
@@ -113,19 +128,15 @@ def _gini_ambient(xs: Sequence[float]) -> float:
     return 2 * total / (n * n)
 
 
-def _gini_exact(w: WeightVector) -> Fraction:
+def _gini_exact(scale: int, nums: Sequence[int]) -> tuple[int, int]:
     # the sorted form of _gini_ambient, sorting ints on one scale
-    n = w.n
-    total = sum((2 * i - n - 1) * x for i, x in enumerate(sorted(w._nums), 1))
-    return Fraction(2 * total, n * n * w._scale)
+    n = len(nums)
+    total = sum((2 * i - n - 1) * x for i, x in enumerate(sorted(nums), 1))
+    return 2 * total, n * n * scale
 
 
 def _simpson_ambient(xs: Sequence[float]) -> float:
     return math.fsum(x * x for x in xs)
-
-
-def _simpson_exact(w: WeightVector) -> Fraction:
-    return Fraction(*_sum_of_squares(w))
 
 
 def _hhi_ambient(xs: Sequence[float]) -> float:
@@ -135,13 +146,13 @@ def _hhi_ambient(xs: Sequence[float]) -> float:
     return (_simpson_ambient(xs) - 1.0 / n) / (1.0 - 1.0 / n)
 
 
-def _hhi_exact(w: WeightVector) -> Fraction:
+def _hhi_exact(scale: int, nums: Sequence[int]) -> tuple[int, int]:
     # (simpson - 1/n) / (1 - 1/n) with simpson = squares / square_scale
-    n = w.n
+    n = len(nums)
     if n < 2:
         raise DomainError("normalized concentration index needs n >= 2")
-    squares, square_scale = _sum_of_squares(w)
-    return Fraction(n * squares - square_scale, (n - 1) * square_scale)
+    squares, square_scale = _sum_of_squares(scale, nums)
+    return n * squares - square_scale, (n - 1) * square_scale
 
 
 def _hoover_ambient(xs: Sequence[float]) -> float:
@@ -185,7 +196,7 @@ _STANDARD: tuple[MeasureSpec, ...] = (
     ),
     MeasureSpec("hhi", Direction.INDEX, True, _hhi_ambient, _hhi_exact),
     MeasureSpec(
-        "simpson", Direction.INDEX, True, _simpson_ambient, _simpson_exact
+        "simpson", Direction.INDEX, True, _simpson_ambient, _sum_of_squares
     ),
     # Hoover is only weakly monotone: transfers strictly between two
     # above-average (or two below-average) slots leave it unchanged.
@@ -237,31 +248,44 @@ def get_measure(measure_id: str) -> MeasureSpec:
     raise UnknownMeasure(f"no measure named {measure_id!r}")
 
 
+def _value(m: MeasureSpec, scale: int, nums: Sequence[int]) -> float:
+    """``evaluate`` on an integer view ``(scale, nums)``, in lowest terms or
+    not: the float is the same either way, since int true division rounds
+    the same rational the same way."""
+    if m.exact is not None:
+        num, den = m.exact(scale, nums)
+        return num / den
+    return m.ambient([x / scale for x in nums])
+
+
 def evaluate(m: MeasureSpec, w: WeightVector) -> float:
     """Value of the measure at an allocation.
 
-    Measures with a rational form are computed exactly and converted at
-    the end, which makes them permutation-invariant to the last bit.  The
-    others get each weight as num / scale from the integer view: int true
-    division rounds correctly, so these are the floats of the weights.
+    Measures with a rational form are computed exactly on ints, as
+    ``(num, den)``, and divided once at the end: int true division rounds
+    correctly, so this is float(exact_value) and permutation-invariant to
+    the last bit.  The others get each weight as num / scale from the
+    integer view, which is likewise the float of the weight.
     """
-    if m.exact is not None:
-        return float(m.exact(w))
-    scale = w._scale
-    return m.ambient([x / scale for x in w._nums])
+    return _value(m, w._scale, w._nums)
 
 
 def exact_value(m: MeasureSpec, w: WeightVector) -> Fraction:
     """Exact rational value; only some measures have one."""
     if m.exact is None:
         raise DomainError(f"{m.id} has no exact rational form")
-    return m.exact(w)
+    return Fraction(*m.exact(w._scale, w._nums))
+
+
+def _index(m: MeasureSpec, scale: int, nums: Sequence[int]) -> float:
+    """``index_value`` on an integer view ``(scale, nums)``."""
+    raw = _value(m, scale, nums)
+    return raw if m.direction is Direction.INDEX else -raw
 
 
 def index_value(m: MeasureSpec, w: WeightVector) -> float:
     """The measure folded into index orientation: bigger = more concentrated."""
-    raw = evaluate(m, w)
-    return raw if m.direction is Direction.INDEX else -raw
+    return _index(m, w._scale, w._nums)
 
 
 def ambient_utility(m: MeasureSpec) -> AmbientFn:
@@ -351,19 +375,27 @@ class AxiomReport:
         }
 
 
-def _clearly_nonuniform(rng: random.Random, n: int) -> WeightVector:
-    """A random vector bounded away from uniform, so zero values are real bugs.
+def _texts(*views: _Ints) -> Counterexample:
+    """Integer views as a counterexample: each entry as ``str(Fraction)``
+    writes it, in lowest terms whatever the view's scale."""
+    return tuple(_rational_strings(nums, scale) for scale, nums in views)
 
-    The first draw whose Hoover index, half the l1 distance from equal
-    weights, is at least 1/(10n).  On the integer view (s, x) that reads
-    5 * sum |s - n * x_i| >= s, decided on ints.
+
+def _clearly_nonuniform(rng: random.Random, n: int) -> _Ints:
+    """A random allocation bounded away from uniform, so zero values are
+    real bugs, as the integer view ``(D, counts)`` of a sampler draw.
+
+    The first ``random_weight_vector`` draw, read as its counts over
+    D = 10**6 * n, whose Hoover index, half the l1 distance from equal
+    weights, is at least 1/(10n).  On the view that reads
+    5 * sum |D - n * x_i| >= D, decided on ints.
     """
+    total = _SAMPLER_LATTICE * n
     ones = (1,) * n
     while True:
-        w = random_weight_vector(rng, n)
-        s = w._scale
-        if 5 * sum(map(abs, _slot_gaps(s, w._nums, n, ones))) >= s:
-            return w
+        counts = _sampler_counts(rng, n)
+        if 5 * sum(map(abs, _slot_gaps(total, counts, n, ones))) >= total:
+            return total, counts
 
 
 def axiom_suite(
@@ -375,6 +407,17 @@ def axiom_suite(
     the two monotonicity axioms look at the index orientation, so a
     mis-declared direction shows up as an order violation.  Every failed
     axiom records concrete counterexamples that re-fail deterministically.
+
+    Positivity and boundedness score ``random_weight_vector`` draws with
+    ``evaluate``, the public path.  The nonuniform draws and both pair
+    samplers stay on integer views ``(scale, nums)``: no weight vector is
+    built for them, a rational measure is scored as (num, den) and one
+    division, and a view becomes text (``_rational_strings``) only when it
+    is recorded as a counterexample.  The random stream, the floats and
+    so the report are those of the vector path.
+
+    Strict measures need strict pairs, which ``random_strict_majorization_pair``
+    cannot draw from n = 41 on; there this raises ValueError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -384,7 +427,7 @@ def axiom_suite(
         raise ValueError("axioms need at least two slots")
     # imported here, not at the top: only this harness samples pairs, and
     # `naivediv measures` need not load matrices
-    from .matrices import random_majorization_pair, random_strict_majorization_pair
+    from .matrices import _majorization_pair_ints, _strict_pair_ints
 
     rng = random.Random(seed)
 
@@ -393,8 +436,8 @@ def axiom_suite(
 
     bad_positive: list[Counterexample] = []
     bad_finite: list[Counterexample] = []
-    for w in points:
-        value = evaluate(m, w)
+    values = [evaluate(m, w) for w in points]
+    for w, value in zip(points, values):
         if not math.isfinite(value):
             bad_finite.append((w.as_strings(),))
             continue
@@ -402,29 +445,28 @@ def axiom_suite(
             bad_positive.append((w.as_strings(),))
 
     bad_zero: list[Counterexample] = []
-    at_uniform = evaluate(m, uniform_vector(n))
-    if not (abs(at_uniform) <= EQUALITY_TOL):
-        bad_zero.append((uniform_vector(n).as_strings(),))
+    if not (abs(values[0]) <= EQUALITY_TOL):
+        bad_zero.append((points[0].as_strings(),))
     for _ in range(samples):
         w = _clearly_nonuniform(rng, n)
-        if abs(evaluate(m, w)) <= EQUALITY_TOL:
-            bad_zero.append((w.as_strings(),))
+        if abs(_value(m, *w)) <= EQUALITY_TOL:
+            bad_zero.append(_texts(w))
             if len(bad_zero) >= _MAX_RECORDED:
                 break
 
     bad_order: list[Counterexample] = []
     for _ in range(samples):
-        alpha, beta = random_majorization_pair(rng, n)
-        if index_value(m, alpha) > index_value(m, beta) + EQUALITY_TOL:
-            bad_order.append((alpha.as_strings(), beta.as_strings()))
+        alpha, beta = _majorization_pair_ints(rng, n)
+        if _index(m, *alpha) > _index(m, *beta) + EQUALITY_TOL:
+            bad_order.append(_texts(alpha, beta))
 
     strict: AxiomVerdict | None = None
     if m.strict:
         bad_strict: list[Counterexample] = []
         for _ in range(samples):
-            alpha, beta = random_strict_majorization_pair(rng, n)
-            if not (index_value(m, beta) - index_value(m, alpha) > EQUALITY_TOL):
-                bad_strict.append((alpha.as_strings(), beta.as_strings()))
+            alpha, beta = _strict_pair_ints(rng, n)
+            if not (_index(m, *beta) - _index(m, *alpha) > EQUALITY_TOL):
+                bad_strict.append(_texts(alpha, beta))
         strict = _verdict(bad_strict)
 
     return AxiomReport(

@@ -96,7 +96,7 @@ def aversion_squared(d: WeightVector) -> Fraction:
     """
     # sum of (w_i - 1/n)^2 == sum of w_i^2 - 1/n
     n = d.n
-    squares, square_scale = _sum_of_squares(d)
+    squares, square_scale = _sum_of_squares(d._scale, d._nums)
     return Fraction(n * squares - square_scale, n * square_scale)
 
 

@@ -66,7 +66,7 @@ def turnover(w: WeightVector) -> Fraction:
 
     This is the Hoover index, and computed as that measure's exact form.
     """
-    return _hoover_exact(w)
+    return Fraction(*_hoover_exact(w._scale, w._nums))
 
 
 def polytope_membership(p: SquareMatrix, w: WeightVector) -> bool:

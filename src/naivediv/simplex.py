@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, pairwise, repeat
+from operator import sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import LengthMismatch
@@ -35,6 +36,9 @@ RationalLike = Union[Fraction, int, str]
 #: breakpoints (xs[i] / x_scale, ys[i] / y_scale), abscissas strictly
 #: increasing from 0 to 1.
 _Curve = tuple[int, Sequence[int], int, Sequence[int]]
+
+#: A vector as its integer view ``(scale, nums)``, its entries nums / scale.
+_Ints = tuple[int, Sequence[int]]
 
 #: The sampler draws counts over D = _SAMPLER_LATTICE * n.
 _SAMPLER_LATTICE = 10**6
@@ -355,10 +359,11 @@ def _chord(curve: _Curve, k: int, x: int, xa: int) -> tuple[int, int]:
     return y0 * xa * dx + dy * (x * x_scale - x0 * xa), y_scale * xa * dx
 
 
-def _sum_of_squares(w: WeightVector) -> tuple[int, int]:
-    """``(num, den)`` with the sum of the squared weights equal to num / den:
-    the squared numerators over the squared scale."""
-    return sum(x * x for x in w._nums), w._scale * w._scale
+def _sum_of_squares(scale: int, nums: Sequence[int]) -> tuple[int, int]:
+    """``(num, den)`` with the sum of the squared weights of the integer view
+    ``(scale, nums)`` equal to num / den: the squared numerators over the
+    squared scale."""
+    return sum(x * x for x in nums), scale * scale
 
 
 def _slot_gaps(s: int, xs: Iterable[int], u: int, ts: Iterable[int]) -> Iterator[int]:
@@ -367,10 +372,10 @@ def _slot_gaps(s: int, xs: Iterable[int], u: int, ts: Iterable[int]) -> Iterator
     return (t * s - x * u for x, t in zip(xs, ts))
 
 
-def _half_l1(s: int, xs: Iterable[int], u: int, ts: Iterable[int]) -> Fraction:
-    """Half the l1 distance between xs / s and ts / u: the summed slot gaps
-    over 2 * s * u."""
-    return Fraction(sum(map(abs, _slot_gaps(s, xs, u, ts))), 2 * s * u)
+def _half_l1(s: int, xs: Iterable[int], u: int, ts: Iterable[int]) -> tuple[int, int]:
+    """``(num, den)`` with half the l1 distance between xs / s and ts / u
+    equal to num / den: the summed slot gaps over 2 * s * u."""
+    return sum(map(abs, _slot_gaps(s, xs, u, ts))), 2 * s * u
 
 
 def half_l1(xs: WeightVector, ys: WeightVector) -> Fraction:
@@ -379,13 +384,15 @@ def half_l1(xs: WeightVector, ys: WeightVector) -> Fraction:
     This is the mass that has to move to turn one into the other; measured
     from equal weights it is both the turnover and the Hoover index.
     """
-    return _half_l1(xs._scale, xs._nums, ys._scale, ys._nums)
+    return Fraction(*_half_l1(xs._scale, xs._nums, ys._scale, ys._nums))
 
 
-def _hoover_exact(w: WeightVector) -> Fraction:
-    """Half the l1 distance from equal weights (rebalancing.turnover), which
-    enter as the integer view (n, 1 ... 1)."""
-    return _half_l1(w._scale, w._nums, w.n, repeat(1, w.n))
+def _hoover_exact(scale: int, nums: Sequence[int]) -> tuple[int, int]:
+    """``(num, den)``: half the l1 distance of the integer view
+    ``(scale, nums)`` from equal weights (the Hoover index and
+    rebalancing.turnover), which enter as the integer view (n, 1 ... 1)."""
+    n = len(nums)
+    return _half_l1(scale, nums, n, repeat(1, n))
 
 
 @dataclass(frozen=True)
@@ -519,7 +526,7 @@ def _sampler_counts(rng: random.Random, n: int) -> list[int]:
             picked.add(r)
     # index r is cut r + 1; the edges -1 and m stand for the cuts 0 and D
     edges = [-1, *sorted(picked), m]
-    return [b - a for a, b in pairwise(edges)]
+    return list(map(sub, edges[1:], edges))
 
 
 def random_weight_vector(rng: random.Random, n: int) -> WeightVector:

@@ -321,6 +321,17 @@ class TestAxioms:
         assert done.returncode == 1
         assert done.stderr == "naivediv: axioms need at least two slots\n"
 
+    def test_strict_measure_past_the_gap_rule_exits_1_at_once(self):
+        # from n = 41 no strict pair keeps its sorted gaps of 1/(20n): the
+        # command must refuse, naming n, not redraw forever
+        done = subprocess.run(
+            [sys.executable, "-m", "naivediv.cli", "axioms", "--measure", "hhi",
+             "--n", "41", "--samples", "5"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("naivediv: no strict pair at n = 41")
+
 
 class TestAversion:
     def test_reference_values(self, reference_file, capsys):

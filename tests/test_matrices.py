@@ -835,6 +835,40 @@ def test_random_strict_majorization_pair_matches_its_old_body():
             assert new.getstate() == old.getstate()
 
 
+def test_strict_pairs_refused_before_drawing_where_no_gap_fits():
+    # counts over D = 10**6 * n with every sorted gap at least D / (20n) sum
+    # past D from n = 41, so no draw could pass: refuse at once, stream as is
+    for n in (41, 42, 64, 1000):
+        rng = random.Random(n)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            random_strict_majorization_pair(rng, n)
+        assert rng.getstate() == state
+
+
+def test_strict_pairs_draw_wherever_a_gap_fits():
+    class Drew(Exception):
+        pass
+
+    class Probe(random.Random):
+        def getrandbits(self, k):
+            raise Drew
+
+    for n in range(2, 41):
+        with pytest.raises(Drew):
+            random_strict_majorization_pair(Probe(0), n)
+    # at n = 40 the tightest counts 1, 1 + g, 1 + 2g, ... with the rest on
+    # the last slot pass the gap test; at n = 41 they already sum past D
+    for n, fits in ((40, True), (41, False)):
+        total = 10**6 * n
+        g = -(-total // (20 * n))
+        counts = [1 + g * i for i in range(n)]
+        assert (sum(counts) <= total) is fits
+        counts[-1] += total - sum(counts)
+        if fits:
+            assert all(20 * n * (b - a) >= total for a, b in zip(counts, counts[1:]))
+
+
 @pytest.mark.parametrize(
     "sampler", [random_majorization_pair, random_strict_majorization_pair]
 )

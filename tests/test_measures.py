@@ -1,5 +1,7 @@
 """Measure formulas, the axiom harness, and derivative-based checks."""
 
+import fractions
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -7,8 +9,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 
+import naivediv.matrices
 import naivediv.measures
+import naivediv.simplex
 from conftest import weight_vectors
+from old_axioms import OLD_EXACT, old_axiom_suite
 from old_sampler import old_random_weight_vector
 from naivediv.errors import DomainError, NotMajorized, UnknownMeasure
 from naivediv.measures import (
@@ -31,6 +36,7 @@ from naivediv.preferences import aversion_squared
 from naivediv.rebalancing import turnover
 from naivediv.simplex import (
     WeightVector,
+    _from_ints,
     random_weight_vector,
     uniform_vector,
     weight_vector,
@@ -281,6 +287,53 @@ class TestAxiomSuite:
         assert data["axioms"]["strict_monotone"] is None
         assert data["axioms"]["positivity"]["passed"] is True
 
+    def test_matches_the_vector_path_harness(self):
+        # the harness on integer views gives the report, byte for byte, of
+        # the one that wrapped every sample in a WeightVector and scored it
+        # through Fraction; sample counts 1 to 40 rotate over the grid
+        counts = (1, 2, 3, 5, 8, 13, 21, 30, 40)
+        specs = [*registry(), LOG_CONTROL, get_measure("atkinson(3/2)")]
+        for i, m in enumerate(specs):
+            for n in range(2, 11):
+                for j, seed in enumerate((1, 7919, 2**31 - 1)):
+                    samples = counts[(i + n + 3 * j) % len(counts)]
+                    new = axiom_suite(m, seed=seed, samples=samples, n=n)
+                    old = old_axiom_suite(m, seed=seed, samples=samples, n=n)
+                    assert json.dumps(new.to_json_dict()) == json.dumps(old.to_json_dict()), (
+                        m.id, n, seed, samples,
+                    )
+
+    @pytest.mark.parametrize("mid", ["hhi", "simpson", "gini_mean_diff", "hoover"])
+    def test_pairs_build_no_vector_and_no_fraction(self, mid, monkeypatch):
+        # only the uniform point and the positivity draws become vectors;
+        # the nonuniform draws and the pairs stay integer views and the
+        # rational measures score them as (num, den), so no Fraction is made
+        m, samples = get_measure(mid), 30
+        expected = axiom_suite(m, seed=11, samples=samples, n=6)
+        built = []
+        real = naivediv.simplex._from_ints
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        def refused(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(naivediv.simplex, "_from_ints", counted)
+            patch.setattr(naivediv.matrices, "_from_ints", counted)
+            patch.setattr(fractions.Fraction, "__new__", refused)
+            report = axiom_suite(m, seed=11, samples=samples, n=6)
+        assert report == expected
+        assert len(built) <= samples + 2
+
+    def test_strict_measures_past_the_gap_rule_are_refused(self):
+        # from n = 41 no strict pair can be drawn; a weak measure still runs
+        with pytest.raises(ValueError, match="n = 41"):
+            axiom_suite(get_measure("hhi"), seed=1, samples=3, n=41)
+        assert axiom_suite(get_measure("hoover"), seed=1, samples=3, n=41).all_passed()
+
 
 def fraction_clearly_nonuniform(rng, n):
     """The harness's nonuniform draw decided on Fractions: the first sampler
@@ -303,21 +356,24 @@ class TestClearlyNonuniform:
             new, old = random.Random(seed), random.Random(seed)
             for n in range(2, 11):
                 for _ in range(5):
-                    w = naivediv.measures._clearly_nonuniform(new, n)
-                    assert w == fraction_clearly_nonuniform(old, n)
+                    scale, counts = naivediv.measures._clearly_nonuniform(new, n)
+                    assert _from_ints(counts, scale) == fraction_clearly_nonuniform(old, n)
                     assert new.getstate() == old.getstate()
 
     def test_verdict_at_the_floor(self, monkeypatch):
         # n = 2: (1/2 + h, 1/2 - h) has Hoover index h against a floor of
-        # 1/20; a draw just below is refused, one exactly at it is kept
-        h = F(1, 10**9)
-        below = WeightVector((F(11, 20) - h, F(9, 20) + h))
-        at = weight_vector(["11/20", "9/20"])
-        assert hoover_by_definition(below) < F(1, 20) == hoover_by_definition(at)
-        draws = iter([uniform_vector(2), below, at, uniform_vector(2)])
-        monkeypatch.setattr(naivediv.measures, "random_weight_vector", lambda rng, n: next(draws))
-        assert naivediv.measures._clearly_nonuniform(random.Random(0), 2) is at
-        assert next(draws) == uniform_vector(2)
+        # 1/20; on the sampler's counts over 2 * 10**6 a draw one count
+        # below is refused, one exactly at it is kept
+        total = 2 * 10**6
+        below = [1_099_999, 900_001]
+        at = [1_100_000, 900_000]
+        assert hoover_by_definition(_from_ints(below, total)) < F(1, 20)
+        assert hoover_by_definition(_from_ints(at, total)) == F(1, 20)
+        draws = iter([[10**6] * 2, below, at, [10**6] * 2])
+        monkeypatch.setattr(naivediv.measures, "_sampler_counts", lambda rng, n: next(draws))
+        scale, counts = naivediv.measures._clearly_nonuniform(random.Random(0), 2)
+        assert scale == total and counts is at
+        assert next(draws) == [10**6] * 2
 
 
 class TestSchurOstrowski:
@@ -436,7 +492,9 @@ class TestExactFormulasOnIntegerViews:
                     exact_value(m, w)
                 continue
             assert exact_value(m, w) == value
-            assert m.exact(w) == value
+            # the form on a view not in lowest terms gives the same value
+            num, den = m.exact(3 * w._scale, [3 * x for x in w._nums])
+            assert F(num, den) == value and num / den == float(value)
             assert evaluate(m, w) == float(value)
 
     @given(weight_vectors(min_n=1, max_n=7))
@@ -450,6 +508,29 @@ class TestExactFormulasOnIntegerViews:
         self.check(weight_vector(["1/6", "1/10", "1/15", "1/3", "1/3"]))
         self.check(weight_vector(["1", "0", "0"]))
         self.check(uniform_vector(6))
+
+    def test_ratio_forms_match_the_fraction_forms(self):
+        # every rational measure: its (num, den) form against the Fraction
+        # form it replaced, on lattice draws, on normalized vectors of
+        # independent 14-digit rationals (about 2,600-bit denominators at
+        # n = 64), and on each view scaled out of lowest terms
+        assert {m.id for m in registry() if m.exact is not None} == set(OLD_EXACT)
+        rng = random.Random(23)
+        vectors = [random_weight_vector(rng, n) for n in (2, 3, 8, 40)]
+        for n in (32, 64):
+            raw = [F(rng.randint(1, 10**14), rng.randint(1, 10**14)) for _ in range(n)]
+            vectors.append(WeightVector(tuple(x / sum(raw) for x in raw)))
+        assert vectors[-1]._scale.bit_length() > 2500
+        for w in vectors:
+            for mid, old_form in OLD_EXACT.items():
+                m = get_measure(mid)
+                value = old_form(w)
+                assert exact_value(m, w) == value
+                assert evaluate(m, w) == float(exact_value(m, w)) == float(value)
+                for g in (1, 6, 2**61 - 1):
+                    num, den = m.exact(g * w._scale, [g * x for x in w._nums])
+                    assert den > 0 and F(num, den) == value
+                    assert num / den == float(value)
 
 
 def distance_vectors():

@@ -26,7 +26,7 @@ from naivediv.matrices import (
     random_doubly_stochastic,
     uniform_mixing_matrix,
 )
-from naivediv.measures import evaluate, get_measure
+from naivediv.measures import evaluate, exact_value, get_measure
 from naivediv.rebalancing import (
     RebalancePlan,
     example_family,
@@ -85,7 +85,7 @@ class TestTurnover:
 
 
 def exact_hoover(w):
-    return get_measure("hoover").exact(w)
+    return exact_value(get_measure("hoover"), w)
 
 
 class TestPolytopeMembership:
