@@ -325,7 +325,8 @@ def _plan_scalar(value: object, what: str, kind: str) -> int | float:
 
 
 def plan_from_dict(data: dict) -> RebalancePlan:
-    """Rebuild a plan from its JSON form; replay is re-verified on construction."""
+    """Rebuild a plan from its JSON form; the file's intermediates, turnover
+    and trades must equal the ones the plan derives from its chain."""
     from .matrices import TTransform
     from .rebalancing import RebalancePlan
 
@@ -347,25 +348,38 @@ def plan_from_dict(data: dict) -> RebalancePlan:
     ):
         where = f"plan data: row {i} of 'intermediates'"
         intermediates.append(_weight_vector(row, where, source.labels, where))
+    turnover = parse_rational(data["turnover"])
     practical = data.get("practical_turnover")
-    return RebalancePlan(
+    trades = [
+        (t["label"], parse_rational(t["delta"]))
+        for t in _json_objects(data["trades"], "trades", ("label", "delta"))
+    ]
+    if not 0 <= turnover <= 1:
+        raise ValueError("turnover must lie in [0, 1]")
+    if len(intermediates) != len(steps):
+        raise ValueError("need exactly one intermediate per step")
+    plan = RebalancePlan(
         source=source,
         target=target,
         steps=steps,
-        intermediates=tuple(intermediates),
-        turnover=parse_rational(data["turnover"]),
         practical_turnover=(
             float(_plan_scalar(practical, "'practical_turnover'", "number"))
             if practical is not None
             else None
         ),
-        trades=tuple(
-            (t["label"], parse_rational(t["delta"]))
-            for t in _json_objects(data["trades"], "trades", ("label", "delta"))
-        ),
         cost=float(_plan_scalar(data["cost"], "'cost'", "number")),
         cost_rate=float(_plan_scalar(data["cost_rate"], "'cost_rate'", "number")),
     )
+    # both carry the source's labels, so the integer views decide
+    if tuple(intermediates) != plan.intermediates:
+        raise ValueError("intermediate does not match its step")
+    if turnover != plan.turnover:
+        raise ValueError("turnover does not match source and target")
+    if [delta for _, delta in trades] != [delta for _, delta in plan.trades]:
+        raise ValueError("trades must equal target minus source")
+    if [label for label, _ in trades] != [label for label, _ in plan.trades]:
+        raise ValueError("trade labels must be the source's slot labels")
+    return plan
 
 
 def write_text(text: str, out: str | Path | None) -> None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotInPolytope
@@ -185,18 +185,6 @@ def _practical(tau: Fraction, p: SquareMatrix) -> float:
     return float(tau) * math.sqrt(float(min_permutation_distance_squared(p)))
 
 
-def _default_labels(w: WeightVector) -> tuple[str, ...]:
-    if w.labels is not None:
-        return w.labels
-    return tuple(f"w{i}" for i in range(1, w.n + 1))
-
-
-def _trade_deltas(w: WeightVector, target: WeightVector) -> tuple[Fraction, ...]:
-    """``target - w`` slot by slot, from the two integer views."""
-    gaps = _slot_gaps(w._scale, w._nums, target._scale, target._nums)
-    return tuple(map(Fraction, gaps, repeat(w._scale * target._scale)))
-
-
 def _is_uniform(w: WeightVector) -> bool:
     # equal entries that sum to one are 1/n each
     return min(w._nums) == max(w._nums)
@@ -209,53 +197,62 @@ def _check_cost_field(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class RebalancePlan:
-    """An executable recipe: ordered transforms, trades, and cost accounting.
+    """An executable recipe: a chain of transforms, its trades and its costs.
 
-    Replaying ``steps`` on ``source`` must land exactly on ``target``;
-    construction re-verifies this, so a deserialized plan is trustworthy.
-    ``practical_turnover`` is given exactly for equal-weight targets,
-    where the notion is defined, and is then finite and nonnegative.
+    The plan is its chain.  Construction checks that replaying ``steps`` on
+    ``source`` lands exactly on ``target``, and derives ``intermediates``
+    (each state of that replay), ``turnover`` and ``trades`` (target minus
+    source, under the source's slot labels).  ``practical_turnover`` is
+    given exactly for equal-weight targets, where the notion is defined.
+    A written plan rounds it and ``cost``, so both are checked against
+    bounds, not re-derived: practical turnover at most 4/3 times turnover
+    times sqrt(n - 1) (a doubly stochastic P has min ||P - Pi||^2 <= n - 1),
+    and cost within a factor 2 of cost_rate times twice the turnover.  The
+    factors are the worst case of rounding once to one significant digit.
     """
 
     source: WeightVector
     target: WeightVector
     steps: tuple[TTransform, ...]
-    intermediates: tuple[WeightVector, ...]
-    turnover: Fraction
     practical_turnover: float | None
-    trades: tuple[tuple[str, Fraction], ...]
     cost: float
     cost_rate: float
+    intermediates: tuple[WeightVector, ...] = field(init=False, compare=False)
+    turnover: Fraction = field(init=False, compare=False)
+    trades: tuple[tuple[str, Fraction], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.turnover < 0 or self.turnover > 1:
-            raise ValueError("turnover must lie in [0, 1]")
-        current = self.source
-        if len(self.intermediates) != len(self.steps):
-            raise ValueError("need exactly one intermediate per step")
+        source, target = self.source, self.target
+        chain = tuple(accumulate(self.steps, apply_transform, initial=source))
         # the integer views decide, whatever the labels
-        for step, expected in zip(self.steps, self.intermediates):
-            current = apply_transform(current, step)
-            if (current._scale, current._nums) != (expected._scale, expected._nums):
-                raise ValueError("intermediate does not match its step")
-        if (current._scale, current._nums) != (self.target._scale, self.target._nums):
+        if (chain[-1]._scale, chain[-1]._nums) != (target._scale, target._nums):
             raise ValueError("steps do not reproduce the target")
-        if self.turnover != half_l1(self.source, self.target):
-            raise ValueError("turnover does not match source and target")
-        deltas = tuple(delta for _, delta in self.trades)
-        if deltas != _trade_deltas(self.source, self.target):
-            raise ValueError("trades must equal target minus source")
-        if tuple(label for label, _ in self.trades) != _default_labels(self.source):
-            raise ValueError("trade labels must be the source's slot labels")
+        tau = half_l1(source, target)
+        labels = source.labels or tuple(f"w{i}" for i in range(1, source.n + 1))
+        gaps = _slot_gaps(source._scale, source._nums, target._scale, target._nums)
+        deltas = map(Fraction, gaps, repeat(source._scale * target._scale))
+        object.__setattr__(self, "intermediates", chain[1:])
+        object.__setattr__(self, "turnover", tau)
+        object.__setattr__(self, "trades", tuple(zip(labels, deltas)))
         _check_cost_field("cost_rate", self.cost_rate)
         _check_cost_field("cost", self.cost)
-        if (self.practical_turnover is not None) != _is_uniform(self.target):
+        charge = float(self.cost_rate) * float(2 * tau)  # as rebalance_to prices
+        if not charge / 2 <= self.cost <= 2 * charge:
+            raise ValueError(
+                f"cost {self.cost} is not within a factor 2 of {charge}, "
+                "cost_rate times twice the turnover"
+            )
+        practical = self.practical_turnover
+        if (practical is not None) != _is_uniform(target):
             raise ValueError(
                 "practical_turnover must be given exactly when the target is "
                 "equal weights"
             )
-        if self.practical_turnover is not None:
-            _check_cost_field("practical_turnover", self.practical_turnover)
+        if practical is not None:
+            _check_cost_field("practical_turnover", practical)
+            # practical <= 4/3 turnover sqrt(n - 1), squared and exact
+            if 9 * Fraction(practical) ** 2 > 16 * tau**2 * (source.n - 1):
+                raise ValueError("practical_turnover exceeds 4/3 turnover sqrt(n - 1)")
 
     @property
     def averaging_steps(self) -> int:
@@ -272,34 +269,23 @@ def rebalance_to(
 ) -> RebalancePlan:
     """Minimal-step plan carrying ``w`` exactly onto a flatter ``target``.
 
-    The source must majorize the target.  Cost is proportional to total
-    traded mass (buys plus sells), i.e. cost_rate times twice the turnover;
-    a negative or non-finite rate raises ValueError.
+    The source must majorize the target.  The plan is the Muirhead chain
+    with its cost and, for an equal-weight target, its practical turnover;
+    the plan derives the rest.  Cost is proportional to total traded mass
+    (buys plus sells), i.e. cost_rate times twice the turnover; a negative
+    or non-finite rate raises ValueError.
     """
     _check_cost_field("cost_rate", cost_rate)
     steps = tuple(muirhead_decompose(w, target))
-    intermediates = []
-    current = w
-    for t in steps:
-        current = apply_transform(current, t)
-        intermediates.append(current)
-
-    tau = half_l1(w, target)
-    trades = tuple(zip(_default_labels(w), _trade_deltas(w, target)))
-    cost = float(cost_rate) * float(2 * tau)
-
+    tau = half_l1(w, target)  # prices the plan
     # the chain product is a member by construction: no membership check
     practical = _practical(tau, compose(steps, w.n)) if _is_uniform(target) else None
-
     return RebalancePlan(
         source=w,
         target=target,
         steps=steps,
-        intermediates=tuple(intermediates),
-        turnover=tau,
         practical_turnover=practical,
-        trades=trades,
-        cost=cost,
+        cost=float(cost_rate) * float(2 * tau),
         cost_rate=float(cost_rate),
     )
 

@@ -319,6 +319,40 @@ class TestPlanFiles:
         with pytest.raises(ValueError, match="practical_turnover"):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "rate, field, loads, rejected",
+        [
+            # turnover 1/6 at n = 3: practical at most 4/3 * 1/6 * sqrt(2) = 0.31427
+            (0.0, "practical_turnover", 0.314, 0.315),
+            (0.0, "practical_turnover", 0.314, 99.0),
+            # cost within a factor 2 of 0.01 * 2 * 1/6 = 0.0033333
+            (0.01, "cost", 0.0066, 0.0067),
+            (0.01, "cost", 0.0017, 0.0016),
+            (0.01, "cost", 0.0017, 99.0),
+            (0.0, "cost", 0.0, 99.0),
+        ],
+    )
+    def test_practical_turnover_and_cost_are_bounded(self, rate, field, loads, rejected):
+        # bounds, not a re-derivation: a written plan rounds both values
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE, cost_rate=rate))
+        data[field] = loads
+        assert getattr(plan_from_dict(data), field) == loads
+        data[field] = rejected
+        with pytest.raises(ValueError, match=field):
+            plan_from_dict(data)
+
+    def test_plans_load_at_every_precision(self):
+        rng = random.Random(11)
+        for n in (2, 3, 5, 8, 16):
+            w = random_weight_vector(rng, n)
+            flatter = rebalance_to(w, uniform_vector(n)).intermediates[0]
+            for target in (uniform_vector(n), flatter):
+                for rate in (0.0, 0.0015, 0.15, 0.25, 0.35, 1.45, 7.0):
+                    plan = rebalance_to(w, target, cost_rate=rate)
+                    for precision in range(1, 18):
+                        data = json.loads(json.dumps(plan_to_dict(plan, precision)))
+                        assert plan_from_dict(data).steps == plan.steps
+
     def test_source_labels_name_the_trades(self):
         source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
         data = plan_to_dict(minimal_turnover_plan(source))

@@ -1,5 +1,6 @@
 """Turnover accounting, the mixing polytope, and rebalance plans."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,12 +12,14 @@ from hypothesis import given
 from conftest import weight_vectors
 from old_chain import old_sample_polytope
 from old_sampler import old_random_weight_vector
+import naivediv.rebalancing
 from naivediv.errors import (
     DimensionMismatch,
     LengthMismatch,
     NotInPolytope,
     NotMajorized,
 )
+from naivediv.fileio import plan_from_dict, plan_to_dict
 from naivediv.matrices import (
     DoublyStochasticMatrix,
     SquareMatrix,
@@ -331,34 +334,45 @@ class TestRebalancePlans:
             rebalance_to(REFERENCE, uniform_vector(3), cost_rate=rate)
 
     def test_replay_validation_rejects_tampering(self):
-        plan = minimal_turnover_plan(REFERENCE)
-        with pytest.raises(ValueError):
-            RebalancePlan(
-                source=plan.source,
-                target=plan.target,
-                steps=plan.steps,
-                intermediates=(uniform_vector(3), uniform_vector(3)),
-                turnover=plan.turnover,
-                trades=plan.trades,
-                practical_turnover=plan.practical_turnover,
-                cost=plan.cost,
-                cost_rate=plan.cost_rate,
-            )
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE))
+        data["intermediates"] = [["1/3", "1/3", "1/3"]] * 2
+        with pytest.raises(ValueError, match="one intermediate per step"):
+            plan_from_dict(data)
 
     def test_turnover_field_must_match(self):
+        data = plan_to_dict(minimal_turnover_plan(REFERENCE))
+        data["turnover"] = "1/2"
+        with pytest.raises(ValueError, match="turnover does not match"):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("name", ["intermediates", "turnover", "trades"])
+    def test_derived_fields_are_not_constructor_arguments(self, name):
         plan = minimal_turnover_plan(REFERENCE)
-        with pytest.raises(ValueError):
-            RebalancePlan(
-                source=plan.source,
-                target=plan.target,
-                steps=plan.steps,
-                intermediates=plan.intermediates,
-                turnover=F(1, 2),
-                trades=plan.trades,
-                practical_turnover=plan.practical_turnover,
-                cost=plan.cost,
-                cost_rate=plan.cost_rate,
-            )
+        given = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan) if f.init}
+        assert sorted(given) == sorted(
+            ["source", "target", "steps", "practical_turnover", "cost", "cost_rate"]
+        )
+        assert RebalancePlan(**given) == plan
+        with pytest.raises(TypeError):
+            RebalancePlan(**given, **{name: getattr(plan, name)})
+
+    def test_rebalance_to_replays_its_chain_once(self, monkeypatch):
+        calls = []
+        real = naivediv.rebalancing.apply_transform
+
+        def counting(w, t):
+            calls.append(t)
+            return real(w, t)
+
+        monkeypatch.setattr(naivediv.rebalancing, "apply_transform", counting)
+        rng = random.Random(20)
+        for n in (3, 8, 16):
+            w = random_weight_vector(rng, n)
+            for target in (uniform_vector(n), rebalance_to(w, uniform_vector(n)).intermediates[0]):
+                calls.clear()
+                plan = rebalance_to(w, target, cost_rate=0.01)
+                assert len(plan.steps) > 0
+                assert calls == list(plan.steps)
 
     def test_composed_matrix_maps_source_to_target(self):
         plan = rebalance_to(SKEWED, REFERENCE)
@@ -423,20 +437,11 @@ class TestTradesOnIntegerViews:
                     assert tuple(delta for _, delta in plan.trades) == expected
                     assert all(type(delta) is F for _, delta in plan.trades)
 
-                    (label, delta), *rest = plan.trades
-                    nudge = F(1, w._scale * target._scale)
+                    data = plan_to_dict(plan)
+                    nudged = F(data["trades"][0]["delta"]) + F(1, w._scale * target._scale)
+                    data["trades"][0]["delta"] = str(nudged)
                     with pytest.raises(ValueError, match="trades"):
-                        RebalancePlan(
-                            source=plan.source,
-                            target=plan.target,
-                            steps=plan.steps,
-                            intermediates=plan.intermediates,
-                            turnover=plan.turnover,
-                            trades=((label, delta + nudge), *rest),
-                            practical_turnover=plan.practical_turnover,
-                            cost=plan.cost,
-                            cost_rate=plan.cost_rate,
-                        )
+                        plan_from_dict(data)
 
 
 class TestBulkPlanValidity:
