@@ -40,7 +40,6 @@ _EXPORTS = {
         "muirhead_decompose",
         "multivariate_feasible",
         "random_doubly_stochastic",
-        "random_majorization_pair",
         "t_to_matrix",
         "uniform_mixing_matrix",
     ),
@@ -49,7 +48,6 @@ _EXPORTS = {
         "Direction",
         "MeasureSpec",
         "axiom_suite",
-        "concave_sum_rank",
         "evaluate",
         "exact_value",
         "get_measure",
@@ -90,6 +88,7 @@ _EXPORTS = {
         "lorenz_curve",
         "lorenz_dominates",
         "majorizes",
+        "random_majorization_pair",
         "random_weight_vector",
         "uniform_vector",
         "weight_vector",

@@ -15,7 +15,7 @@ its own modules:
     lorenz                 none
     aversion               preferences
     measures, schur-check  measures
-    axioms                 measures, matrices
+    axioms                 measures
     rebalance              rebalancing, matrices
     multi-check            matrices, lp
 """
@@ -161,7 +161,7 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser(
         "rebalance",
         parents=[common],
-        help="plan a minimal-step move to a flatter allocation",
+        help="plan at most n - 1 averaging steps to a flatter allocation",
     )
     p.add_argument("weights")
     p.add_argument(

@@ -35,14 +35,11 @@ from .errors import (
     NotMajorized,
 )
 from .simplex import (
-    _SAMPLER_LATTICE,
     WeightVector,
-    _below,
     _from_ints,
     _integer_view,
     _Ints,
-    _pick_two,
-    _sampler_counts,
+    _t_step,
     as_fraction,
     majorizes,
 )
@@ -303,20 +300,6 @@ def compose(steps: Iterable[TTransform], n: int) -> DoublyStochasticMatrix:
     return DoublyStochasticMatrix._from_ints(list(zip(*cols)), scale)
 
 
-def _t_step(scale: int, nums: Sequence[int], j: int, k: int, p: int, q: int) -> _Ints:
-    """The transform (j, k, p / q) applied to the vector nums / scale, on ints.
-
-    Slot j becomes (p * a + (q - p) * b) / (scale * q) with a, b the
-    numerators of slots j and k, and the other way round for slot k; every
-    other numerator is carried over to the scale scale * q.
-    """
-    out = [x * q for x in nums]
-    a, b = nums[j], nums[k]
-    out[j] = p * a + (q - p) * b
-    out[k] = p * b + (q - p) * a
-    return scale * q, out
-
-
 def apply_transform(w: WeightVector, t: TTransform) -> WeightVector:
     """Apply a single transform without building the full matrix."""
     if t.j >= w.n or t.k >= w.n:
@@ -522,85 +505,6 @@ def random_doubly_stochastic(
     return DoublyStochasticMatrix._mixture(raw, perms)
 
 
-def _majorization_pair_ints(
-    rng: random.Random, n: int, transforms: int | None = None
-) -> tuple[_Ints, _Ints]:
-    """``random_majorization_pair`` on integer views: (alpha, beta) as
-    ``(scale, nums)``, beta the sampler's counts over D = 10**6 * n and
-    alpha their image under the chain, neither in lowest terms."""
-    total = _SAMPLER_LATTICE * n
-    counts = _sampler_counts(rng, n)
-    draw = rng.getrandbits
-    # randint(a, b) is a + _randbelow(b - a + 1)
-    count = transforms if transforms is not None else 1 + _below(draw, max(1, n - 1))
-    scale, nums = total, counts
-    for _ in range(count):
-        j, k = _pick_two(draw, n)
-        scale, nums = _t_step(scale, nums, j, k, _below(draw, 101), 100)
-    return (scale, nums), (total, counts)
-
-
-def random_majorization_pair(
-    rng: random.Random, n: int, transforms: int | None = None
-) -> tuple[WeightVector, WeightVector]:
-    """Seeded (alpha, beta) with beta majorizing alpha, built constructively.
-
-    ``beta`` is a random simplex point, drawn as ``random_weight_vector``
-    draws it; ``alpha`` is its image under a short chain of random
-    averaging transforms, run on beta's integer view.  Every draw reads
-    ``rng.getrandbits`` and consumes the stream that ``random.Random``'s
-    ``randint`` and ``sample(range(n), 2)`` would, so a seed gives the pairs
-    it always gave.
-    """
-    (a_scale, a), (b_scale, b) = _majorization_pair_ints(rng, n, transforms)
-    return _from_ints(a, a_scale), _from_ints(b, b_scale)
-
-
-def _strict_pair_ints(rng: random.Random, n: int) -> tuple[_Ints, _Ints]:
-    """``random_strict_majorization_pair`` on integer views: (alpha, beta)
-    as ``(scale, nums)``, neither in lowest terms.
-
-    Raises ValueError, before any draw, when n < 2 or when no draw can keep
-    every sorted gap at least 1/(20n): with counts over D = 10**6 * n that
-    is a gap of at least g = ceil(D / (20n)) counts, and n positive counts
-    so spaced sum to at least n + g * n(n - 1)/2, which must not exceed D.
-    """
-    if n < 2:
-        raise ValueError("need at least two slots to pick two")
-    total = _SAMPLER_LATTICE * n
-    least_gap = -(-total // (20 * n))
-    if n + least_gap * (n * (n - 1) // 2) > total:
-        raise ValueError(
-            f"no strict pair at n = {n}: sorted gaps of at least 1/(20n) "
-            "would need weights summing past 1"
-        )
-    while True:
-        counts = _sampler_counts(rng, n)
-        ordered = sorted(counts)
-        if 20 * n * min(map(operator.sub, ordered[1:], ordered)) >= total:
-            break
-    draw = rng.getrandbits
-    j, k = _pick_two(draw, n)
-    return _t_step(total, counts, j, k, 10 + _below(draw, 81), 100), (total, counts)
-
-
-def random_strict_majorization_pair(
-    rng: random.Random, n: int
-) -> tuple[WeightVector, WeightVector]:
-    """A pair with a comfortable strictness margin for float-based tests.
-
-    The source has well-separated sorted components (every gap at least
-    1/(20n)) and the single transfer moves a non-trivial amount of mass, so
-    any strictly order-reversing measure separates the two by far more
-    than float noise.  Like ``random_majorization_pair`` it reads
-    ``rng.getrandbits`` only, in the stream of ``random.Random``'s
-    ``sample`` and ``randint``.  From n = 41 no draw can keep those gaps,
-    so it raises ValueError there without drawing.
-    """
-    (a_scale, a), (b_scale, b) = _strict_pair_ints(rng, n)
-    return _from_ints(a, a_scale), _from_ints(b, b_scale)
-
-
 __all__ = [
     "SquareMatrix",
     "DoublyStochasticMatrix",
@@ -619,6 +523,4 @@ __all__ = [
     "multivariate_feasible",
     "d_stochastic_witness",
     "random_doubly_stochastic",
-    "random_majorization_pair",
-    "random_strict_majorization_pair",
 ]

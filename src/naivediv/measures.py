@@ -31,18 +31,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DomainError, NotMajorized, UnknownMeasure
+from .errors import DomainError, UnknownMeasure
 from .simplex import (
-    _SAMPLER_LATTICE,
     WeightVector,
+    _clearly_nonuniform,
     _hoover_exact,
     _Ints,
+    _majorization_pair_ints,
     _rational_strings,
-    _sampler_counts,
-    _slot_gaps,
+    _strict_pair_ints,
     _sum_of_squares,
     as_fraction,
-    majorizes,
     random_weight_vector,
     uniform_vector,
 )
@@ -381,23 +380,6 @@ def _texts(*views: _Ints) -> Counterexample:
     return tuple(_rational_strings(nums, scale) for scale, nums in views)
 
 
-def _clearly_nonuniform(rng: random.Random, n: int) -> _Ints:
-    """A random allocation bounded away from uniform, so zero values are
-    real bugs, as the integer view ``(D, counts)`` of a sampler draw.
-
-    The first ``random_weight_vector`` draw, read as its counts over
-    D = 10**6 * n, whose Hoover index, half the l1 distance from equal
-    weights, is at least 1/(10n).  On the view that reads
-    5 * sum |D - n * x_i| >= D, decided on ints.
-    """
-    total = _SAMPLER_LATTICE * n
-    ones = (1,) * n
-    while True:
-        counts = _sampler_counts(rng, n)
-        if 5 * sum(map(abs, _slot_gaps(total, counts, n, ones))) >= total:
-            return total, counts
-
-
 def axiom_suite(
     m: MeasureSpec, seed: int, samples: int, n: int = 4
 ) -> AxiomReport:
@@ -425,10 +407,6 @@ def axiom_suite(
         # every allocation of one slot is the uniform one, so no sample can
         # be bounded away from it
         raise ValueError("axioms need at least two slots")
-    # imported here, not at the top: only this harness samples pairs, and
-    # `naivediv measures` need not load matrices
-    from .matrices import _majorization_pair_ints, _strict_pair_ints
-
     rng = random.Random(seed)
 
     points = [uniform_vector(n)]
@@ -489,12 +467,19 @@ def axiom_suite(
 
 @dataclass(frozen=True)
 class SchurCheckReport:
-    """Breakdown of the symmetry + pairwise-sign test at one point."""
+    """Breakdown of the symmetry + pairwise-sign test at one point; both
+    flags are read off the two figures, so they cannot disagree with them."""
 
-    symmetric: bool
-    sign_condition: bool
     max_symmetry_gap: float
     max_sign_product: float
+
+    @property
+    def symmetric(self) -> bool:
+        return self.max_symmetry_gap <= SYMMETRY_TOL
+
+    @property
+    def sign_condition(self) -> bool:
+        return self.max_sign_product <= SIGN_PRODUCT_TOL
 
     @property
     def passed(self) -> bool:
@@ -532,7 +517,6 @@ def schur_ostrowski_report(
         shuffled = xs[:]
         rng.shuffle(shuffled)
         max_gap = max(max_gap, abs(f(shuffled) - reference))
-    symmetric = max_gap <= SYMMETRY_TOL
 
     partials = []
     for i in range(n):
@@ -547,9 +531,8 @@ def schur_ostrowski_report(
         for j in range(i + 1, n):
             product = (xs[i] - xs[j]) * (partials[i] - partials[j])
             max_product = max(max_product, product)
-    sign_ok = max_product <= SIGN_PRODUCT_TOL
 
-    return SchurCheckReport(symmetric, sign_ok, max_gap, max_product)
+    return SchurCheckReport(max_gap, max_product)
 
 
 def schur_ostrowski_check(
@@ -560,38 +543,6 @@ def schur_ostrowski_check(
 ) -> bool:
     """True iff the symmetry and pairwise sign conditions both hold at the point."""
     return schur_ostrowski_report(f, point, step, seed).passed
-
-
-def concave_sum_rank(
-    alpha: WeightVector,
-    beta: WeightVector,
-    seed: int = 0,
-    family_size: int = 64,
-) -> bool:
-    """Check sum-of-g rankings over a sampled family of concave functions.
-
-    For every sampled concave g, the flatter allocation must win:
-    sum g(alpha_i) >= sum g(beta_i) - 1e-12.  The family is the seeded
-    angle family g_t(x) = -max(x - t, 0) plus square root and a shifted
-    logarithm; it is a spot check, not a proof over all concave g.
-    """
-    if not majorizes(beta, alpha):
-        raise NotMajorized("second argument must majorize the first")
-
-    rng = random.Random(seed)
-    thresholds = [rng.random() for _ in range(family_size)]
-    families: list[Callable[[float], float]] = [
-        (lambda x, t=t: -max(x - t, 0.0)) for t in thresholds
-    ]
-    families.append(math.sqrt)
-    families.append(lambda x: math.log(x + 1e-6))
-
-    a = [x / alpha._scale for x in alpha._nums]
-    b = [x / beta._scale for x in beta._nums]
-    for g in families:
-        if math.fsum(g(x) for x in a) < math.fsum(g(x) for x in b) - EQUALITY_TOL:
-            return False
-    return True
 
 
 __all__ = [
@@ -614,5 +565,4 @@ __all__ = [
     "SchurCheckReport",
     "schur_ostrowski_report",
     "schur_ostrowski_check",
-    "concave_sum_rank",
 ]

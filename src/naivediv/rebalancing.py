@@ -267,13 +267,15 @@ class RebalancePlan:
 def rebalance_to(
     w: WeightVector, target: WeightVector, cost_rate: float = 0.0
 ) -> RebalancePlan:
-    """Minimal-step plan carrying ``w`` exactly onto a flatter ``target``.
+    """A plan of at most n - 1 averaging steps carrying ``w`` exactly onto a
+    flatter ``target``.
 
     The source must majorize the target.  The plan is the Muirhead chain
     with its cost and, for an equal-weight target, its practical turnover;
-    the plan derives the rest.  Cost is proportional to total traded mass
-    (buys plus sells), i.e. cost_rate times twice the turnover; a negative
-    or non-finite rate raises ValueError.
+    the plan derives the rest.  The chain keeps the n - 1 bound but does
+    not always take the fewest steps.  Cost is proportional to total traded
+    mass (buys plus sells), i.e. cost_rate times twice the turnover; a
+    negative or non-finite rate raises ValueError.
     """
     _check_cost_field("cost_rate", cost_rate)
     steps = tuple(muirhead_decompose(w, target))
@@ -291,7 +293,7 @@ def rebalance_to(
 
 
 def minimal_turnover_plan(w: WeightVector, cost_rate: float = 0.0) -> RebalancePlan:
-    """The equal-weight rebalancing plan with the fewest averaging steps."""
+    """The equal-weight rebalancing plan: at most n - 1 averaging steps."""
     return rebalance_to(w, uniform_vector(w.n), cost_rate)
 
 

@@ -14,6 +14,10 @@ descending partial sums of ``beta`` dominate those of ``alpha``:
 
 Being majorized means being closer to the equal-weight allocation, which
 is what a naive diversifier prefers.
+
+The seeded samplers live here too: lattice draws (``random_weight_vector``)
+and majorized pairs made from them by two-slot transfers (``_t_step``), all
+on integer views and reading ``rng.getrandbits`` only.
 """
 
 from __future__ import annotations
@@ -539,3 +543,113 @@ def random_weight_vector(rng: random.Random, n: int) -> WeightVector:
     ``rng.sample(range(1, D), n - 1)`` would (see ``_sampler_counts``).
     """
     return _from_ints(_sampler_counts(rng, n), _SAMPLER_LATTICE * n)
+
+
+def _t_step(scale: int, nums: Sequence[int], j: int, k: int, p: int, q: int) -> _Ints:
+    """The transform (j, k, p / q) applied to the vector nums / scale, on ints.
+
+    Slot j becomes (p * a + (q - p) * b) / (scale * q) with a, b the
+    numerators of slots j and k, and the other way round for slot k; every
+    other numerator is carried over to the scale scale * q.
+    """
+    out = [x * q for x in nums]
+    a, b = nums[j], nums[k]
+    out[j] = p * a + (q - p) * b
+    out[k] = p * b + (q - p) * a
+    return scale * q, out
+
+
+def _clearly_nonuniform(rng: random.Random, n: int) -> _Ints:
+    """A random allocation bounded away from uniform, so zero values are
+    real bugs, as the integer view ``(D, counts)`` of a sampler draw.
+
+    The first ``random_weight_vector`` draw, read as its counts over
+    D = 10**6 * n, whose Hoover index, half the l1 distance from equal
+    weights, is at least 1/(10n).  On the view that reads
+    5 * sum |D - n * x_i| >= D, decided on ints.
+    """
+    total = _SAMPLER_LATTICE * n
+    ones = (1,) * n
+    while True:
+        counts = _sampler_counts(rng, n)
+        if 5 * sum(map(abs, _slot_gaps(total, counts, n, ones))) >= total:
+            return total, counts
+
+
+def _majorization_pair_ints(
+    rng: random.Random, n: int, transforms: int | None = None
+) -> tuple[_Ints, _Ints]:
+    """``random_majorization_pair`` on integer views: (alpha, beta) as
+    ``(scale, nums)``, beta the sampler's counts over D = 10**6 * n and
+    alpha their image under the chain, neither in lowest terms."""
+    total = _SAMPLER_LATTICE * n
+    counts = _sampler_counts(rng, n)
+    draw = rng.getrandbits
+    # randint(a, b) is a + _randbelow(b - a + 1)
+    count = transforms if transforms is not None else 1 + _below(draw, max(1, n - 1))
+    scale, nums = total, counts
+    for _ in range(count):
+        j, k = _pick_two(draw, n)
+        scale, nums = _t_step(scale, nums, j, k, _below(draw, 101), 100)
+    return (scale, nums), (total, counts)
+
+
+def random_majorization_pair(
+    rng: random.Random, n: int, transforms: int | None = None
+) -> tuple[WeightVector, WeightVector]:
+    """Seeded (alpha, beta) with beta majorizing alpha, built constructively.
+
+    ``beta`` is a random simplex point, drawn as ``random_weight_vector``
+    draws it; ``alpha`` is its image under a short chain of random
+    averaging transforms, run on beta's integer view.  Every draw reads
+    ``rng.getrandbits`` and consumes the stream that ``random.Random``'s
+    ``randint`` and ``sample(range(n), 2)`` would, so a seed gives the pairs
+    it always gave.
+    """
+    (a_scale, a), (b_scale, b) = _majorization_pair_ints(rng, n, transforms)
+    return _from_ints(a, a_scale), _from_ints(b, b_scale)
+
+
+def _strict_pair_ints(rng: random.Random, n: int) -> tuple[_Ints, _Ints]:
+    """``random_strict_majorization_pair`` on integer views: (alpha, beta)
+    as ``(scale, nums)``, neither in lowest terms.
+
+    Raises ValueError, before any draw, when n < 2 or when no draw can keep
+    every sorted gap at least 1/(20n): with counts over D = 10**6 * n that
+    is a gap of at least g = ceil(D / (20n)) counts, and n positive counts
+    so spaced sum to at least n + g * n(n - 1)/2, which must not exceed D.
+    """
+    if n < 2:
+        raise ValueError("need at least two slots to pick two")
+    total = _SAMPLER_LATTICE * n
+    least_gap = -(-total // (20 * n))
+    if n + least_gap * (n * (n - 1) // 2) > total:
+        raise ValueError(
+            f"no strict pair at n = {n}: sorted gaps of at least 1/(20n) "
+            "would need weights summing past 1"
+        )
+    while True:
+        counts = _sampler_counts(rng, n)
+        ordered = sorted(counts)
+        if 20 * n * min(map(sub, ordered[1:], ordered)) >= total:
+            break
+    draw = rng.getrandbits
+    j, k = _pick_two(draw, n)
+    return _t_step(total, counts, j, k, 10 + _below(draw, 81), 100), (total, counts)
+
+
+def random_strict_majorization_pair(
+    rng: random.Random, n: int
+) -> tuple[WeightVector, WeightVector]:
+    """A pair with a comfortable strictness margin for float-based tests.
+
+    The source has well-separated sorted components (every gap at least
+    1/(20n)) and the single transfer moves a non-trivial amount of mass, so
+    any strictly order-reversing measure separates the two by far more
+    than float noise.  Like ``random_majorization_pair`` it reads
+    ``rng.getrandbits`` only, in the stream of ``random.Random``'s
+    ``sample`` and ``randint``.  From n = 41 no draw can keep those gaps,
+    so it raises ValueError there without drawing.
+    """
+    (a_scale, a), (b_scale, b) = _strict_pair_ints(rng, n)
+    return _from_ints(a, a_scale), _from_ints(b, b_scale)

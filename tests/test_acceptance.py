@@ -24,8 +24,6 @@ from naivediv.matrices import (
     muirhead_decompose,
     multivariate_feasible,
     random_doubly_stochastic,
-    random_majorization_pair,
-    random_strict_majorization_pair,
     uniform_mixing_matrix,
 )
 from naivediv.measures import (
@@ -56,6 +54,8 @@ from naivediv.rebalancing import (
 from naivediv.simplex import (
     WeightVector,
     majorizes,
+    random_majorization_pair,
+    random_strict_majorization_pair,
     random_weight_vector,
     uniform_vector,
     weight_vector,

@@ -556,6 +556,11 @@ class TestImportSets:
             pytest.param(["aversion", "W"], NOT_FOR_ORDER, id="aversion"),
             pytest.param(["measures", "W"], NOT_FOR_MEASURES, id="measures"),
             pytest.param(["schur-check", "W", "--measure", "hhi"], NOT_FOR_MEASURES, id="schur-check"),
+            pytest.param(
+                ["axioms", "--measure", "hhi", "--n", "4", "--samples", "5"],
+                NOT_FOR_MEASURES,
+                id="axioms",
+            ),
             pytest.param(["rebalance", "W"], {"lp", "measures", "preferences"}, id="rebalance"),
             pytest.param(
                 ["multi-check", str(GOLDEN / "multi_check_targets.json"),

@@ -48,8 +48,6 @@ from naivediv.matrices import (
     muirhead_decompose,
     multivariate_feasible,
     random_doubly_stochastic,
-    random_majorization_pair,
-    random_strict_majorization_pair,
     t_to_matrix,
     uniform_mixing_matrix,
 )
@@ -58,6 +56,8 @@ from naivediv.simplex import (
     WeightVector,
     _integer_view,
     majorizes,
+    random_majorization_pair,
+    random_strict_majorization_pair,
     random_weight_vector,
     uniform_vector,
     weight_vector,

@@ -9,21 +9,22 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 
-import naivediv.matrices
 import naivediv.measures
 import naivediv.simplex
 from conftest import weight_vectors
 from old_axioms import OLD_EXACT, old_axiom_suite
 from old_sampler import old_random_weight_vector
-from naivediv.errors import DomainError, NotMajorized, UnknownMeasure
+from naivediv.errors import DomainError, UnknownMeasure
 from naivediv.measures import (
     EQUALITY_TOL,
     LOG_CONTROL,
+    SIGN_PRODUCT_TOL,
+    SYMMETRY_TOL,
     Direction,
     MeasureSpec,
+    SchurCheckReport,
     ambient_utility,
     axiom_suite,
-    concave_sum_rank,
     evaluate,
     exact_value,
     get_measure,
@@ -322,7 +323,6 @@ class TestAxiomSuite:
 
         with monkeypatch.context() as patch:
             patch.setattr(naivediv.simplex, "_from_ints", counted)
-            patch.setattr(naivediv.matrices, "_from_ints", counted)
             patch.setattr(fractions.Fraction, "__new__", refused)
             report = axiom_suite(m, seed=11, samples=samples, n=6)
         assert report == expected
@@ -356,7 +356,7 @@ class TestClearlyNonuniform:
             new, old = random.Random(seed), random.Random(seed)
             for n in range(2, 11):
                 for _ in range(5):
-                    scale, counts = naivediv.measures._clearly_nonuniform(new, n)
+                    scale, counts = naivediv.simplex._clearly_nonuniform(new, n)
                     assert _from_ints(counts, scale) == fraction_clearly_nonuniform(old, n)
                     assert new.getstate() == old.getstate()
 
@@ -370,8 +370,8 @@ class TestClearlyNonuniform:
         assert hoover_by_definition(_from_ints(below, total)) < F(1, 20)
         assert hoover_by_definition(_from_ints(at, total)) == F(1, 20)
         draws = iter([[10**6] * 2, below, at, [10**6] * 2])
-        monkeypatch.setattr(naivediv.measures, "_sampler_counts", lambda rng, n: next(draws))
-        scale, counts = naivediv.measures._clearly_nonuniform(random.Random(0), 2)
+        monkeypatch.setattr(naivediv.simplex, "_sampler_counts", lambda rng, n: next(draws))
+        scale, counts = naivediv.simplex._clearly_nonuniform(random.Random(0), 2)
         assert scale == total and counts is at
         assert next(draws) == [10**6] * 2
 
@@ -398,6 +398,15 @@ class TestSchurOstrowski:
         )
         assert report.symmetric
         assert not report.sign_condition
+
+    def test_flags_are_read_off_the_figures(self):
+        # only the two figures are stored, so a flag cannot disagree with them
+        at_tolerances = SchurCheckReport(SYMMETRY_TOL, SIGN_PRODUCT_TOL)
+        assert at_tolerances.symmetric and at_tolerances.sign_condition
+        assert at_tolerances.passed
+        past = SchurCheckReport(2 * SYMMETRY_TOL, 2 * SIGN_PRODUCT_TOL)
+        assert not past.symmetric and not past.sign_condition
+        assert not past.passed
 
     def test_boundary_guard(self):
         with pytest.raises(DomainError):
@@ -452,21 +461,6 @@ class TestGradientOracles:
             expected = [2 * x / (1 - 1 / n) for x in xs]
             got = self.fd_partials(hhi, xs)
             assert all(abs(a - b) <= 1e-6 for a, b in zip(expected, got))
-
-
-class TestConcaveSumRank:
-    def test_extreme_pair(self):
-        assert concave_sum_rank(uniform_vector(4), weight_vector(["1", "0", "0", "0"]))
-
-    def test_reference_pair(self):
-        assert concave_sum_rank(REFERENCE, weight_vector(["3/5", "3/10", "1/10"]))
-
-    def test_equal_vectors(self):
-        assert concave_sum_rank(REFERENCE, REFERENCE)
-
-    def test_requires_majorization(self):
-        with pytest.raises(NotMajorized):
-            concave_sum_rank(weight_vector(["3/5", "3/10", "1/10"]), REFERENCE)
 
 
 def fraction_formulas(ws):

@@ -1,8 +1,10 @@
 """The package namespace: its public names, read from their defining
 modules on access, and an import that loads none of those modules."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,12 @@ PUBLIC = [
     "DoublyStochasticMatrix", "SquareMatrix", "TTransform", "apply", "apply_transform",
     "averaging_step_count", "compose", "d_stochastic_witness", "hlp_witness",
     "is_d_stochastic", "is_doubly_stochastic", "is_permutation", "muirhead_decompose",
-    "multivariate_feasible", "random_doubly_stochastic", "random_majorization_pair",
-    "t_to_matrix", "uniform_mixing_matrix",
+    "multivariate_feasible", "random_doubly_stochastic", "t_to_matrix",
+    "uniform_mixing_matrix",
     # measures
-    "AxiomReport", "Direction", "MeasureSpec", "axiom_suite", "concave_sum_rank",
-    "evaluate", "exact_value", "get_measure", "index_value", "registry",
-    "schur_ostrowski_check", "schur_ostrowski_report",
+    "AxiomReport", "Direction", "MeasureSpec", "axiom_suite", "evaluate", "exact_value",
+    "get_measure", "index_value", "registry", "schur_ostrowski_check",
+    "schur_ostrowski_report",
     # preferences
     "PreferenceOutcome", "aversion_squared", "equal_weights",
     "inequality_aversion_coefficient", "more_is_better_chain", "naive_prefer",
@@ -33,7 +35,7 @@ PUBLIC = [
     # simplex
     "LorenzCurve", "MajorizationRelation", "WeightVector", "compare",
     "decreasing_rearrangement", "lorenz_curve", "lorenz_dominates", "majorizes",
-    "random_weight_vector", "uniform_vector", "weight_vector",
+    "random_majorization_pair", "random_weight_vector", "uniform_vector", "weight_vector",
 ]
 
 
@@ -97,3 +99,50 @@ def test_import_loads_only_the_named_module(statement, loaded):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == loaded
+
+
+SOURCES = Path(naivediv.__file__).parent
+#: the lattice sampler's private parts, which only its own module may name
+SAMPLER_PRIVATES = {"_sampler_counts", "_below", "_pick_two", "_SAMPLER_LATTICE"}
+
+
+def _identifiers(tree):
+    """Every name a module's syntax mentions: variables, attributes, imported
+    names and definitions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def _imported_modules(tree):
+    """Each module an import names, also inside a function: ``from .x import
+    y`` gives ``x`` and ``x.y``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def test_only_simplex_names_the_sampler_privates():
+    naming = {
+        path.name
+        for path in SOURCES.glob("*.py")
+        if SAMPLER_PRIVATES & set(_identifiers(ast.parse(path.read_text())))
+    }
+    assert naming == {"simplex.py"}
+
+
+def test_measures_imports_nothing_from_matrices():
+    tree = ast.parse((SOURCES / "measures.py").read_text())
+    imported = list(_imported_modules(tree))
+    assert "simplex" in imported
+    assert not any("matrices" in name.split(".") for name in imported)

@@ -14,7 +14,6 @@ from naivediv.matrices import (
     TTransform,
     apply_transform,
     d_stochastic_witness,
-    random_majorization_pair,
 )
 from naivediv.preferences import (
     PreferenceOutcome,
@@ -28,6 +27,7 @@ from naivediv.preferences import (
 from naivediv.simplex import (
     WeightVector,
     compare,
+    random_majorization_pair,
     random_weight_vector,
     uniform_vector,
     weight_vector,

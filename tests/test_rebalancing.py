@@ -26,6 +26,7 @@ from naivediv.matrices import (
     TTransform,
     apply,
     apply_transform,
+    compose,
     random_doubly_stochastic,
     uniform_mixing_matrix,
 )
@@ -310,6 +311,19 @@ class TestRebalancePlans:
             (0, 2, F(8, 9)),
             (0, 1, F(9, 13)),
         ]
+
+    def test_chain_keeps_n_minus_one_steps_not_fewest(self):
+        # the chain takes at most n - 1 averaging steps, not always the
+        # fewest: here it takes 3, yet averaging slots 1 and 4 at 1/2, then
+        # slots 2 and 3, lands exactly on equal weights in 2
+        w = weight_vector(["2/5", "7/20", "3/20", "1/10"])
+        equal = uniform_vector(4)
+        assert minimal_turnover_plan(w).averaging_steps == 3
+        steps = (TTransform(0, 3, F(1, 2)), TTransform(1, 2, F(1, 2)))
+        practical = practical_turnover(w, compose(steps, 4))
+        shorter = RebalancePlan(w, equal, steps, practical, 0.0, 0.0)
+        assert shorter.averaging_steps == 2
+        assert shorter.intermediates[-1] == equal
 
     def test_rebalance_to_uniform_matches_minimal_plan(self):
         for seed in range(5):
