@@ -18,6 +18,16 @@ its own modules:
     axioms                 measures
     rebalance              rebalancing, matrices
     multi-check            matrices, lp
+
+Every JSON answer is written by ``_render_json``, byte for byte as
+``json.dumps(payload, indent=2)`` writes it, but with the C string
+encoder ``json.encoder.encode_basestring_ascii`` mapped over whole
+columns: a list of objects that share their keys (plan steps, trades,
+Lorenz points) is written from one row template filled once per row, and
+``lorenz`` hands its two columns over as ``_Rows`` without building a
+dict per point.  The one departure from ``json.dumps``: a non-finite
+float is written as the string csv and table print, "inf", "-inf" or
+"nan", not as the non-standard ``Infinity`` or ``NaN``.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import sys
 from dataclasses import dataclass
 from heapq import merge
 from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from . import fileio
@@ -241,8 +252,118 @@ def _emit(text: str, config: CliConfig) -> None:
     fileio.write_text(text, config.out)
 
 
+#: A str as a JSON string literal, in C: the encoder ``json.dumps`` uses
+#: for every string under its default ``ensure_ascii``.
+_quote = json.encoder.encode_basestring_ascii
+
+#: The C writer of every value of each of these types, alone or in a column.
+_C_TEXT = {str: _quote, int: int.__repr__}
+
+
+class _Rows:
+    """A JSON array of objects that each have the fields ``keys`` (at least
+    one), in that order, given as one column of values per field.  A plain
+    class, as a dataclass would run its generated code at every start-up."""
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns: tuple[Sequence, ...]) -> None:
+        self.keys = keys
+        self.columns = columns
+
+
+_CONTAINERS = (dict, list, tuple, _Rows)
+
+
 def _render_json(payload) -> str:
-    return json.dumps(payload, indent=2)
+    """``json.dumps(payload, indent=2)`` for a payload of str-keyed dicts,
+    lists, tuples, ``_Rows`` and JSON scalars, except that a non-finite
+    float is written as a string (``_scalar_text``)."""
+    return _json_text(payload, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as indented JSON; ``newline`` starts each line of it."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        fields = (f"{_quote(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(fields) + newline + "}"
+    if not isinstance(value, _CONTAINERS):
+        return _scalar_text(value)
+    inner = newline + "  "
+    if isinstance(value, _Rows):
+        items = _row_texts(value, inner)
+    else:
+        items = _scalar_texts(value)
+        if items is None and (rows := _as_rows(value)) is not None:
+            items = _row_texts(rows, inner)
+        if items is None:
+            items = [_json_text(x, inner) for x in value]
+    text = ("," + inner).join(items)
+    return "[" + inner + text + newline + "]" if text else "[]"
+
+
+def _scalar_text(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it; a non-finite float as the
+    string csv and table print, "inf", "-inf" or "nan", because RFC 8259
+    has no ``Infinity`` or ``NaN``."""
+    write = _C_TEXT.get(type(value))
+    if write is not None:
+        return write(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else _quote(f"{value:g}")
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _scalar_texts(values: Sequence):
+    """The texts of ``values``, an iterator, or None when one of them is a
+    container; a column of strings or of ints goes through one C writer."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (kind := next(iter(kinds))) in _C_TEXT:
+        return map(_C_TEXT[kind], values)
+    if any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        return None
+    return map(_scalar_text, values)
+
+
+def _as_rows(items: Sequence) -> _Rows | None:
+    """``items`` as columns when they are dicts that share their keys."""
+    first = items[0]
+    if set(map(type, items)) != {dict} or not first:
+        return None
+    keys = tuple(first)
+    if not all(map(keys.__eq__, map(tuple, items))):
+        return None
+    return _Rows(keys, tuple(list(map(itemgetter(key), items)) for key in keys))
+
+
+def _row_texts(rows: _Rows, newline: str):
+    """The text of each object of ``rows``, an iterator that fills one row
+    template per row, or None when a column holds a container."""
+    columns = [_scalar_texts(column) for column in rows.columns]
+    if None in columns:
+        return None
+    return map(_row_template(rows.keys, newline).__mod__, zip(*columns))
+
+
+@functools.lru_cache(maxsize=32)
+def _row_template(keys: tuple[str, ...], newline: str) -> str:
+    """An object of the fields ``keys`` with a ``%s`` for each value."""
+    inner = newline + "  "
+    fields = (_quote(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + inner + ("," + inner).join(fields) + newline + "}"
 
 
 def _render_pairs(pairs: list[tuple[str, str]], config: CliConfig) -> str:
@@ -341,9 +462,8 @@ def _cmd_lorenz(args, config: CliConfig) -> int:
         values.append(ys[k] * span + (ys[k + 1] - ys[k]) * r if r else ys[k] * span)
     columns = (ticks, span), (values, scale * span)
     if config.format == "json":
-        ts, vs = (_rational_strings(*column) for column in columns)
-        payload = [{"t": t, "value": v} for t, v in zip(ts, vs)]
-        _emit(_render_json({"points": payload}), config)
+        points = _Rows(("t", "value"), tuple(_rational_strings(*c) for c in columns))
+        _emit(_render_json({"points": points}), config)
         return 0
     ts, vs = ([_fmt(x / s, config) for x in xs] for xs, s in columns)
     sep = "," if config.format == "csv" else "  "

@@ -276,6 +276,20 @@ def load_allocation_rows(path: str | Path) -> list[WeightVector]:
     return rows
 
 
+def _chain_strings(plan: RebalancePlan) -> list[list[str]]:
+    """Each intermediate's entries as ``as_strings`` writes them, each list
+    made from the one before: a step changes the values of its slots j and
+    k only, so only those two are written anew, O(n) text for the plan."""
+    row = list(plan.source.as_strings())
+    rows = []
+    for t, w in zip(plan.steps, plan.intermediates):
+        row = row.copy()
+        nums = w._nums
+        row[t.j], row[t.k] = _rational_strings((nums[t.j], nums[t.k]), w._scale)
+        rows.append(row)
+    return rows
+
+
 def plan_to_dict(plan: RebalancePlan, precision: int = 12) -> dict:
     """Serialize a plan; transform indices go out 1-based."""
     practical = plan.practical_turnover
@@ -286,7 +300,7 @@ def plan_to_dict(plan: RebalancePlan, precision: int = 12) -> dict:
             {"j": t.j + 1, "k": t.k + 1, "lambda": _fraction_text(t.lam)}
             for t in plan.steps
         ],
-        "intermediates": [list(w.as_strings()) for w in plan.intermediates],
+        "intermediates": _chain_strings(plan),
         "turnover": _fraction_text(plan.turnover),
         "practical_turnover": (
             json_float(practical, precision) if practical is not None else None
@@ -340,38 +354,50 @@ def plan_from_dict(data: dict) -> RebalancePlan:
         )
         for s in _json_objects(data["steps"], "steps", ("j", "k", "lambda"))
     )
-    # every intermediate carries the source's labels, as replaying the
-    # steps on the source does
-    intermediates = []
-    for i, row in enumerate(
-        _json_rows(data["intermediates"], "intermediates", "plan data"), 1
-    ):
-        where = f"plan data: row {i} of 'intermediates'"
-        intermediates.append(_weight_vector(row, where, source.labels, where))
-    turnover = parse_rational(data["turnover"])
+    rows = _json_rows(data["intermediates"], "intermediates", "plan data")
     practical = data.get("practical_turnover")
+    # The plan is built before the rows are read, so that a row equal to
+    # the plan's own text needs no parse; whatever building raises, of any
+    # type, is raised after the rows and the other fields are read, where
+    # it always was, so a malformed row is still reported first.
+    try:
+        plan = RebalancePlan(
+            source=source,
+            target=target,
+            steps=steps,
+            practical_turnover=(
+                float(_plan_scalar(practical, "'practical_turnover'", "number"))
+                if practical is not None
+                else None
+            ),
+            cost=float(_plan_scalar(data["cost"], "'cost'", "number")),
+            cost_rate=float(_plan_scalar(data["cost_rate"], "'cost_rate'", "number")),
+        )
+    except Exception as exc:
+        fault, chain = exc, []
+    else:
+        fault, chain = None, _chain_strings(plan)
+    # any other row ("2/4", a JSON number, a tampered entry) is parsed and
+    # compared by value; every intermediate carries the source's labels, as
+    # replaying the steps on the source does
+    parsed = {}
+    for i, row in enumerate(rows):
+        if i >= len(chain) or row != chain[i]:
+            where = f"plan data: row {i + 1} of 'intermediates'"
+            parsed[i] = _weight_vector(row, where, source.labels, where)
+    turnover = parse_rational(data["turnover"])
     trades = [
         (t["label"], parse_rational(t["delta"]))
         for t in _json_objects(data["trades"], "trades", ("label", "delta"))
     ]
     if not 0 <= turnover <= 1:
         raise ValueError("turnover must lie in [0, 1]")
-    if len(intermediates) != len(steps):
+    if len(rows) != len(steps):
         raise ValueError("need exactly one intermediate per step")
-    plan = RebalancePlan(
-        source=source,
-        target=target,
-        steps=steps,
-        practical_turnover=(
-            float(_plan_scalar(practical, "'practical_turnover'", "number"))
-            if practical is not None
-            else None
-        ),
-        cost=float(_plan_scalar(data["cost"], "'cost'", "number")),
-        cost_rate=float(_plan_scalar(data["cost_rate"], "'cost_rate'", "number")),
-    )
+    if fault is not None:
+        raise fault
     # both carry the source's labels, so the integer views decide
-    if tuple(intermediates) != plan.intermediates:
+    if any(w != plan.intermediates[i] for i, w in parsed.items()):
         raise ValueError("intermediate does not match its step")
     if turnover != plan.turnover:
         raise ValueError("turnover does not match source and target")

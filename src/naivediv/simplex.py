@@ -155,15 +155,24 @@ class WeightVector:
 
 
 def _rational_strings(nums: Iterable[int], scale: int) -> tuple[str, ...]:
-    """Each ``x / scale`` in lowest terms as ``str(Fraction)`` writes it."""
+    """Each ``x / scale`` in lowest terms as ``str(Fraction)`` writes it.
+
+    The reduced denominator scale / g is fixed by g = gcd(x, scale), so
+    the text of each distinct one ("/q", or "" for q = 1) is written once
+    per call: in a Lorenz column most of them repeat.
+    """
+    tails: dict[int, str] = {}
     out = []
     for x in nums:
         g = math.gcd(x, scale)
-        p, q = x // g, scale // g
+        tail = tails.get(g)
+        if tail is None:
+            tail = tails[g] = "/" + _int_text(scale // g) if g != scale else ""
+        p = x // g
         try:
-            out.append(f"{p}/{q}" if q != 1 else str(p))
+            out.append(f"{p}{tail}")
         except ValueError:  # an int past the int-to-text digit limit
-            out.append(_fraction_text(Fraction(p, q)))
+            out.append(_int_text(p) + tail)
     return tuple(out)
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from naivediv.cli import main
+from naivediv.cli import _render_json, _Rows, main
 from naivediv.fileio import plan_from_dict
 from naivediv.simplex import (
     LorenzCurve,
@@ -883,3 +886,128 @@ class TestParserReuse:
         run_cli(["measures", reference_file, "--measure", "hhi"], capsys)
         _, every, _ = run_cli(["measures", reference_file, "--format", "json"], capsys)
         assert len(json.loads(every)) == 11
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-standard JSON token {name}")
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: ``Infinity``, ``-Infinity`` and
+    ``NaN`` are refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+#: Every JSON file under golden/, input or expected output, and every
+#: pinned ``axioms`` output.
+GOLDEN_JSON = {path.name: path.read_text() for path in sorted(GOLDEN.glob("*.json"))}
+GOLDEN_JSON.update({f"axioms {case}": out for case, out in AXIOMS_GOLDEN.items()})
+
+#: Characters that the string encoder escapes or must pass through: quotes,
+#: backslashes, control characters, non-ASCII (also past the BMP) and the
+#: ``%`` of the row templates.
+TRICKY = st.text(st.sampled_from('a/1 %s%d"\\\n\t\x00\x1f\x7fé€😀') | st.characters(), max_size=6)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | TRICKY
+)
+
+
+@st.composite
+def shared_key_rows(draw, values):
+    """A list of objects that all have the same keys in the same order."""
+    keys = draw(st.lists(TRICKY, min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.fixed_dictionaries({k: values for k in keys}), max_size=4))
+
+
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(TRICKY, inner, max_size=4)
+        | shared_key_rows(SCALARS)
+        | shared_key_rows(inner)
+        | st.lists(st.dictionaries(TRICKY, SCALARS, max_size=2), max_size=3)
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """``_render_json`` writes what ``json.dumps(..., indent=2)`` writes,
+    byte for byte, except for non-finite floats, which become the strings
+    that csv and table print."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+    def test_matches_json_dumps_on_the_goldens(self, name):
+        payload = json.loads(GOLDEN_JSON[name])
+        assert _render_json(payload) == json.dumps(payload, indent=2)
+
+    @given(PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert _render_json(payload) == json.dumps(payload, indent=2)
+
+    @given(st.lists(SCALARS, max_size=5), st.lists(SCALARS, max_size=5))
+    def test_columns_match_the_list_of_dicts(self, first, second):
+        rows = list(zip(first, second))
+        columns = _Rows(("t", "%s"), ([a for a, _ in rows], [b for _, b in rows]))
+        dicts = [{"t": a, "%s": b} for a, b in rows]
+        assert _render_json({"points": columns}) == json.dumps({"points": dicts}, indent=2)
+
+    def test_matches_json_dumps_on_a_wide_lorenz(self, tmp_path, capsys):
+        rng = random.Random(10_000)
+        counts = [rng.randrange(1, 1000) for _ in range(10_000)]
+        total = sum(counts)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"weights": [f"{c}/{total}" for c in counts]}))
+        code, out, err = run_cli(["lorenz", str(path), "--points", "7", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        points = json.loads(out)["points"]
+        assert len(points) == 10_000 + 1 + 6
+        assert out == json.dumps({"points": points}, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        ("value", "text"),
+        [(math.inf, '"inf"'), (-math.inf, '"-inf"'), (math.nan, '"nan"'), (-math.nan, '"nan"')],
+    )
+    def test_non_finite_floats_are_strings(self, value, text):
+        assert _render_json([value]) == f"[\n  {text}\n]"
+        assert strict_json(_render_json({"x": value}))["x"] == text.strip('"')
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "lorenz_first.json", "rebalance_target.json"],
+            ["compare", "--lorenz", "lorenz_first.json", "lorenz_second.json"],
+            ["lorenz", "lorenz_weights.json", "--points", "7"],
+            ["measures", "lorenz_weights.json"],
+            ["aversion", "aversion_weights.json"],
+            ["schur-check", "rebalance_target.json", "--measure", "entropy"],
+            ["axioms", "--measure", "log_control", "--n", "4", "--samples", "30"],
+            ["rebalance", "rebalance_source.csv", "--target", "rebalance_target.json"],
+            ["rebalance", "rebalance_ties.csv"],
+            ["multi-check", "multi_check_targets.json", "multi_check_sources.json"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_every_subcommand_writes_standard_json(self, argv, capsys):
+        argv = [str(GOLDEN / a) if a.endswith((".json", ".csv")) else a for a in argv]
+        code, out, err = run_cli([*argv, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        strict_json(out)
+
+    def test_an_infinite_measure_is_written_as_a_string(self, tmp_path, capsys):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"weights": ["1/2", "1/2", "0"]}))
+        argv = ["measures", str(path), "--measure", "log_control"]
+        code, out, err = run_cli([*argv, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert strict_json(out) == {"log_control": "inf"}
+        _, csv, _ = run_cli([*argv, "--format", "csv"], capsys)
+        assert csv == "measure,value\nlog_control,inf\n"
+        code, out, _ = run_cli(["measures", str(path), "--format", "json"], capsys)
+        assert code == 0
+        strict_json(out)

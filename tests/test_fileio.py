@@ -353,6 +353,85 @@ class TestPlanFiles:
                         data = json.loads(json.dumps(plan_to_dict(plan, precision)))
                         assert plan_from_dict(data).steps == plan.steps
 
+    #: Two steps: intermediates ["3/8", "1/4", "1/8", "1/4"] and ["1/4"] * 4.
+    TWO_STEPS = weight_vector(["1/2", "1/4", "1/8", "1/8"])
+
+    def two_step_data(self):
+        plan = minimal_turnover_plan(self.TWO_STEPS, cost_rate=0.01)
+        data = json.loads(json.dumps(plan_to_dict(plan, precision=17)))
+        assert data["intermediates"] == [["3/8", "1/4", "1/8", "1/4"], ["1/4"] * 4]
+        return plan, data
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["2/8", "1/4", "0.25", "1/4"],
+            ["0.25", "0.250", "+1/4", " 25/100"],
+            [0.25, 0.25, 0.25, 0.25],
+            ["1/4", 0.25, "1/4", "2/8"],
+        ],
+    )
+    def test_intermediates_in_other_forms_are_read_by_value(self, row):
+        plan, data = self.two_step_data()
+        data["intermediates"][1] = row
+        assert plan_from_dict(data) == plan
+
+    def test_intermediates_as_json_integers(self):
+        plan = rebalance_to(weight_vector(["1", "0"]), weight_vector(["0", "1"]))
+        data = plan_to_dict(plan)
+        assert data["intermediates"] == [["0", "1"]]
+        data["intermediates"][0] = [0, 1]
+        assert plan_from_dict(data) == plan
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["1/4", "3/8", "1/8", "1/4"],
+            ["2/8", "0.375", "1/8", "1/4"],
+            ["3/8", "1/4", "1/4", "1/8"],
+        ],
+    )
+    def test_a_changed_intermediate_is_rejected(self, row):
+        _, data = self.two_step_data()
+        data["intermediates"][0] = row
+        with pytest.raises(ValueError) as excinfo:
+            plan_from_dict(data)
+        assert str(excinfo.value) == "intermediate does not match its step"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("x", "not a rational number: 'x'"),
+            ("1/0", "not a rational number: '1/0'"),
+            (None, "not a rational number: None"),
+            ("-1/4", "weights must be nonnegative"),
+            ("3/4", "weights must sum to exactly 1, got 3/2"),
+        ],
+    )
+    def test_a_malformed_intermediate_names_its_row(self, entry, message):
+        _, data = self.two_step_data()
+        data["intermediates"][1][2] = entry
+        with pytest.raises(ValueError) as excinfo:
+            plan_from_dict(data)
+        assert str(excinfo.value) == f"plan data: row 2 of 'intermediates': {message}"
+
+    def test_a_malformed_intermediate_is_reported_before_a_plan_fault(self):
+        # the rows are read before the plan's own checks run, as they always
+        # were; a row that reads but is wrong is compared with the plan after
+        # them, so the plan's fault is reported first
+        _, data = self.two_step_data()
+        data["intermediates"][1][2] = "x"
+        data["cost"] = -1
+        with pytest.raises(ValueError) as excinfo:
+            plan_from_dict(data)
+        assert str(excinfo.value) == (
+            "plan data: row 2 of 'intermediates': not a rational number: 'x'"
+        )
+        data["intermediates"][1] = ["3/8", "1/4", "1/8", "1/4"]
+        with pytest.raises(ValueError) as excinfo:
+            plan_from_dict(data)
+        assert str(excinfo.value) == "cost must be finite and nonnegative, got -1.0"
+
     def test_source_labels_name_the_trades(self):
         source = weight_vector(["1/2", "1/3", "1/6"], ["bonds", "stocks", "cash"])
         data = plan_to_dict(minimal_turnover_plan(source))

@@ -146,3 +146,45 @@ def test_measures_imports_nothing_from_matrices():
     imported = list(_imported_modules(tree))
     assert "simplex" in imported
     assert not any("matrices" in name.split(".") for name in imported)
+
+
+#: The json functions that can write indented text.
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def _indented_json_writers(tree):
+    """The name of the function around each call of a json writer with an
+    ``indent`` argument ("" at module level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in JSON_WRITERS and any(k.arg in ("indent", None) for k in node.keywords):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_checker_sees_an_indented_json_writer():
+    source = "import json\ndef f(x):\n    return json.dumps(x, indent=2)\n"
+    assert _indented_json_writers(ast.parse(source)) == ["f"]
+    assert _indented_json_writers(ast.parse("json.dumps(x)")) == []
+
+
+def test_only_the_cli_writer_writes_indented_json():
+    # every JSON answer goes through cli._render_json, which writes it
+    # without json.dumps; a compact json.dumps (multi-check's witness in
+    # table and csv format) stays allowed
+    writers = {
+        (path.name, where)
+        for path in SOURCES.glob("*.py")
+        for where in _indented_json_writers(ast.parse(path.read_text()))
+    }
+    assert writers <= {("cli.py", "_render_json")}
