@@ -1,7 +1,23 @@
 """Exact linear feasibility over the integers.
 
-A small phase-one simplex: minimize the sum of artificial variables for
-``A x = b, x >= 0``, with no tolerance anywhere.
+Two entry points answer one question: is there x >= 0 with ``A x = b``?
+
+``solve_equality_feasibility`` is a small exact phase-one simplex:
+minimize the sum of artificial variables, with no tolerance anywhere.
+It gives every "infeasible" verdict.
+
+``feasible_point`` is the one the library calls.  Floats propose and one
+exact elimination decides (as in certified LP: Koch, Oper. Res. Lett.
+32:138, 2004; Applegate, Cook, Dash and Espinoza, Oper. Res. Lett.
+35:693, 2007).  The same simplex, run on floats, proposes a final basis;
+the exact integer tableau, restricted to that basis's structural columns,
+is pivoted onto them; the point it gives is returned when every value is
+>= 0 and every other equation reads 0 = 0.  Everything else (a float run
+that ends infeasible or at its cap, a singular basis, a negative value,
+an unsolved equation) is handed to the exact simplex.  Floats never decide
+a verdict: a returned point solves the system exactly, and None comes only
+from the exact simplex.  The point can be another vertex than the exact
+simplex alone would reach, when float rounding steers a tie another way.
 
 The pivot rule.  The entering column has the most negative reduced cost,
 lowest index on ties, except right after a degenerate pivot (one whose
@@ -34,6 +50,14 @@ pivots, though never the verdict.  A caller with rational equations writes
 them all over one common denominator; the pivots are then exactly those of
 the rational system.
 
+The float run keeps the same pivot rule, with its objective row also
+summing the equations as given.  Each row enters divided by its largest
+entry, by int true division, so every entry is correctly rounded and at
+most 1 in size: no int, however long, overflows a float.  Entries within
+``_FLOAT_TOL`` of 0 count as 0, and ratios or reduced costs within it of
+each other as ties, so that rounding steers the choices as little as it
+can; a wrong choice costs only the fall back to the exact simplex.
+
 The callers ask about order-n mixing matrices: n^2 structural variables
 and a few dozen equations at the orders in use, where a dense tableau is
 the simplest thing that works.
@@ -42,6 +66,119 @@ the simplest thing that works.
 from __future__ import annotations
 
 import math
+
+
+#: The float run's zero and tie tolerance.  It steers only the proposal:
+#: a basis it gets wrong fails the exact elimination.
+_FLOAT_TOL = 1e-9
+
+
+def feasible_point(
+    rows: list[list[int]], rhs: list[int]
+) -> tuple[int, list[int]] | None:
+    """Find x >= 0 with rows @ x == rhs, or None when the system is infeasible.
+
+    The same question and the same form of answer as
+    ``solve_equality_feasibility``, which it calls for every None and
+    whenever the float proposal fails (see the module docstring).
+    """
+    if not rows or len(rhs) != len(rows) or any(len(r) != len(rows[0]) for r in rows):
+        # the exact simplex answers an empty system and refuses a ragged one
+        return solve_equality_feasibility(rows, rhs)
+    nvars = len(rows[0])
+    basis = _float_basis(rows, rhs, nvars)
+    if basis is not None:
+        point = _solve_on(rows, rhs, nvars, [j for j in basis if j < nvars])
+        if point is not None:
+            return point
+    return solve_equality_feasibility(rows, rhs)
+
+
+def _float_basis(rows: list[list[int]], rhs: list[int], nvars: int) -> list[int] | None:
+    """The final basis of the phase-one simplex run on floats, with the
+    exact solver's pivot rule; None when the run ends infeasible, finds no
+    leaving row or reaches its cap."""
+    m = len(rows)
+    tableau = []
+    for row in _phase_one(rows, rhs):
+        top = max(map(abs, row))
+        tableau.append([c / top for c in row] if top else [0.0] * (nvars + 1))
+    basis = [nvars + i for i in range(m)]
+    bland = False
+    # the exact run takes about m pivots on the callers' systems; the cap
+    # only ends a float run that rounding keeps from finishing
+    for _ in range(4 * (m + nvars) + 16):
+        costs = tableau[m][:nvars]
+        if bland:
+            entering = next((j for j, c in enumerate(costs) if c < -_FLOAT_TOL), -1)
+        else:
+            lowest = min(costs, default=0.0)
+            entering = (
+                next(j for j, c in enumerate(costs) if c <= lowest + _FLOAT_TOL)
+                if lowest < -_FLOAT_TOL
+                else -1
+            )
+        if entering < 0:
+            return basis if tableau[m][-1] > -_FLOAT_TOL else None
+        leaving = -1
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > _FLOAT_TOL:
+                ratio = tableau[i][-1] / coeff
+                if leaving < 0 or ratio < best - _FLOAT_TOL or (
+                    ratio <= best + _FLOAT_TOL and basis[i] < basis[leaving]
+                ):
+                    leaving, best = i, ratio
+        if leaving < 0:
+            return None
+        bland = tableau[leaving][-1] <= _FLOAT_TOL
+        a = tableau[leaving][entering]
+        pivot_row = tableau[leaving] = [e / a for e in tableau[leaving]]
+        support = [(j, p) for j, p in enumerate(pivot_row) if p]
+        for i, other in enumerate(tableau):
+            f = other[entering]
+            if i != leaving and abs(f) > _FLOAT_TOL:
+                for j, p in support:
+                    other[j] -= f * p
+        basis[leaving] = entering
+    return None
+
+
+def _solve_on(
+    rows: list[list[int]], rhs: list[int], nvars: int, columns: list[int]
+) -> tuple[int, list[int]] | None:
+    """The integer view of the point whose nonzero entries sit in
+    ``columns``, by exact elimination; None unless that point exists, is
+    nonnegative and solves every equation.
+
+    The tableau holds only those columns and the right-hand side.  Each
+    column is pivoted on the first unused row with a nonzero entry there,
+    negated first when that entry is negative; the unused rows must then
+    read 0 = 0.
+    """
+    tableau = [
+        _primitive([row[j] for j in columns] + [b]) for row, b in zip(rows, rhs)
+    ]
+    free = list(range(len(tableau)))
+    pivots = []
+    for k in range(len(columns)):
+        i = next((i for i in free if tableau[i][k]), -1)
+        if i < 0:
+            return None
+        free.remove(i)
+        if tableau[i][k] < 0:
+            tableau[i] = [-e for e in tableau[i]]
+        _pivot(tableau, i, k)
+        pivots.append(i)
+    if any(tableau[i][-1] for i in free):
+        return None
+    values = [
+        (j, tableau[i][-1], tableau[i][k])
+        for k, (j, i) in enumerate(zip(columns, pivots))
+    ]
+    if any(p < 0 for _, p, _ in values):
+        return None
+    return _integer_view(nvars, values)
 
 
 def solve_equality_feasibility(
@@ -62,15 +199,9 @@ def solve_equality_feasibility(
         raise ValueError("ragged constraint system")
 
     # Tableau columns: structural vars, then rhs; artificial i is basic in
-    # row i until it leaves.
-    tableau = [
-        [-c for c in row] + [-b] if b < 0 else [*row, b] for row, b in zip(rows, rhs)
-    ]
-    # The last row holds the reduced costs of the phase-one objective (the
-    # sum of the artificials) and, in its rhs cell, minus the objective
-    # value; pivots keep it current like any other row.
-    tableau.append([-sum(col) for col in zip(*tableau)])
-    tableau = [_primitive(row) for row in tableau]
+    # row i until it leaves.  Pivots keep the objective row current like
+    # any other row.
+    tableau = [_primitive(row) for row in _phase_one(rows, rhs)]
     basis = [nvars + i for i in range(m)]
 
     bland = False
@@ -79,7 +210,7 @@ def solve_equality_feasibility(
         if bland:
             entering = next((j for j, c in enumerate(costs) if c < 0), -1)
         else:
-            lowest = min(costs)
+            lowest = min(costs, default=0)
             entering = costs.index(lowest) if lowest < 0 else -1
         if entering < 0:
             break
@@ -106,16 +237,37 @@ def solve_equality_feasibility(
 
     if tableau[m][-1] != 0:
         return None
-    # Each basic value in lowest terms, then all of them over the lcm of
-    # their denominators.
-    values = []
-    for j, row in zip(basis, tableau):
-        if j < nvars:
-            g = math.gcd(row[-1], row[j])
-            values.append((j, row[-1] // g, row[j] // g))
-    scale = math.lcm(*(q for _, _, q in values))
-    xs = [0] * nvars
+    return _integer_view(
+        nvars, ((j, row[-1], row[j]) for j, row in zip(basis, tableau) if j < nvars)
+    )
+
+
+def _phase_one(rows: list[list[int]], rhs: list[int]) -> list[list[int]]:
+    """The phase-one tableau before any pivot: each equation with its
+    right-hand side made >= 0, then the objective row, the reduced costs of
+    the sum of the artificials and, in its rhs cell, minus its value."""
+    tableau = [
+        [-c for c in row] + [-b] if b < 0 else [*row, b] for row, b in zip(rows, rhs)
+    ]
+    tableau.append([-sum(col) for col in zip(*tableau)])
+    return tableau
+
+
+def _integer_view(nvars: int, values) -> tuple[int, list[int]]:
+    """The point with entry j equal to p / q for each (j, p, q) of
+    ``values`` (q > 0) and 0 elsewhere, as its canonical integer view:
+    each value in lowest terms, all over the lcm of their denominators."""
+    reduced = []
     for j, p, q in values:
+        g = math.gcd(p, q)
+        reduced.append((j, p // g, q // g))
+    # a list, not a generator: CPython builds a star-args tuple from an
+    # iterator by resizing it, and every such tuple, once freed, stays in
+    # the free list of its size (up to 2,000 a size), so peak RSS would grow
+    # with the number of calls
+    scale = math.lcm(*[q for _, _, q in reduced])
+    xs = [0] * nvars
+    for j, p, q in reduced:
         xs[j] = p * (scale // q)
     return scale, xs
 

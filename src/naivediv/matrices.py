@@ -389,12 +389,11 @@ def _confirmed(m: SquareMatrix, pairs: Sequence[tuple[_Ints, _Ints]]) -> SquareM
     return m
 
 
-def _mixing_witness(
+def _mixing_system(
     pairs: Sequence[tuple[_Ints, _Ints]], n: int
-) -> SquareMatrix | None:
-    """An order-n P >= 0 whose rows sum to 1 with u @ P == v for every
-    pair, found by the exact LP and confirmed by ``_carries``; None when no
-    such P exists.
+) -> tuple[list[list[int]], list[int]]:
+    """The integer equations (rows, rhs) for an order-n P >= 0 whose rows
+    sum to 1 with u @ P == v for every pair.
 
     The unknowns are P's entries in row-major order.  The equations are the
     n row sums, then the first n - 1 column equations of each pair in turn.
@@ -402,10 +401,11 @@ def _mixing_witness(
     last column equation: sum_c (u @ P)_c == sum(u) == sum(v).
 
     Every equation is the rational one times one common scale, the lcm of
-    the pairs' scales, so the LP pivots as on the rational system (see
-    ``lp``: its phase one weighs each equation as given).
+    the pairs' scales, so the exact simplex pivots as on the rational
+    system (see ``lp``: its phase one weighs each equation as given).
     """
-    scale = math.lcm(*(s for pair in pairs for s, _ in pair))
+    # a list, not a generator: see lp._integer_view
+    scale = math.lcm(*[s for pair in pairs for s, _ in pair])
     rows = [[0] * (r * n) + [scale] * n + [0] * ((n - 1 - r) * n) for r in range(n)]
     rhs = [scale] * n
     for (u_scale, us), (v_scale, vs) in pairs:
@@ -415,11 +415,27 @@ def _mixing_witness(
             coeffs[c :: n] = u
             rows.append(coeffs)
             rhs.append(vs[c] * (scale // v_scale))
+    return rows, rhs
+
+
+def _mixing_witness(
+    pairs: Sequence[tuple[_Ints, _Ints]], n: int
+) -> SquareMatrix | None:
+    """An order-n P >= 0 whose rows sum to 1 with u @ P == v for every
+    pair, confirmed by ``_carries``; None when no such P exists.
+
+    ``lp.feasible_point`` solves the equations of ``_mixing_system``:
+    floats propose a basis, one exact elimination on it gives the point,
+    and the exact simplex gives every None and answers whenever the
+    proposal fails.  So a witness can be another vertex of the same
+    polytope than the exact simplex alone would return.
+    """
+    rows, rhs = _mixing_system(pairs, n)
     # imported here, not at the top: only the LP builder needs lp, and
     # `naivediv rebalance` loads matrices without it
     from . import lp
 
-    solution = lp.solve_equality_feasibility(rows, rhs)
+    solution = lp.feasible_point(rows, rhs)
     if solution is None:
         return None
     x_scale, xs = solution

@@ -47,3 +47,28 @@ def majorization_pairs(draw, min_n: int = 2, max_n: int = 6):
         lam = Fraction(draw(st.integers(0, 16)), 16)
         alpha = apply_transform(alpha, TTransform(j, k, lam))
     return alpha, beta
+
+
+def huge_denominator_stack(seed: int):
+    """(targets, sources): a d = 2, n = 3 stack whose entries have
+    denominators of about 1,790 bits, and its image under the half
+    permutation (I + Pi) / 2.  Each source row normalizes three raw
+    fractions with 600-bit numerators and denominators, so the mixing
+    equations, written over one common scale, hold ints far beyond a
+    float's range."""
+    import random
+
+    rng = random.Random(seed)
+    sources = []
+    for _ in range(2):
+        raw = [
+            Fraction(rng.getrandbits(600) | 1, rng.getrandbits(600) | 1)
+            for _ in range(3)
+        ]
+        sources.append(tuple(r / sum(raw) for r in raw))
+    shift = (1, 2, 0)
+    targets = [tuple((y[j] + y[shift[j]]) / 2 for j in range(3)) for y in sources]
+    return (
+        [WeightVector(x) for x in targets],
+        [WeightVector(y) for y in sources],
+    )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import huge_denominator_stack
 from naivediv.cli import _render_json, _Rows, main
 from naivediv.fileio import plan_from_dict
 from naivediv.simplex import (
@@ -419,6 +420,26 @@ class TestMultiCheck:
         code, out, _ = run_cli(["multi-check", str(target), str(source)], capsys)
         assert code == 0
         assert "feasible  false" in out
+
+    def test_huge_denominators(self, tmp_path, capsys):
+        # ~1,790-bit denominators: the exact verdict, and a witness that
+        # carries each source row onto its target
+        targets, sources = huge_denominator_stack(1790)
+        paths = []
+        for name, rows in (("target", targets), ("source", sources)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(
+                json.dumps({"entries": [[str(v) for v in w.weights] for w in rows]})
+            )
+            paths.append(str(path))
+        code, out, _ = run_cli(["multi-check", *paths, "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["feasible"] is True
+        p = [[F(e) for e in row] for row in payload["witness"]["entries"]]
+        for x, y in zip(targets, sources):
+            reached = [sum(y.weights[i] * p[i][j] for i in range(3)) for j in range(3)]
+            assert tuple(reached) == x.weights
 
     def test_witness_is_pinned(self, capsys):
         # The witness is the LP's vertex, so it moves with the pivot rule or

@@ -1,16 +1,19 @@
 """Exact phase-one feasibility solver."""
 
+import gc
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from old_sampler import old_random_strict_majorization_pair, old_random_weight_vector
 from naivediv import lp
-from naivediv.lp import solve_equality_feasibility
+from naivediv.lp import feasible_point, solve_equality_feasibility
 from naivediv.matrices import (
-    _mixing_witness,
+    _mixing_system,
     apply,
     multivariate_feasible,
     random_doubly_stochastic,
@@ -89,6 +92,13 @@ def test_answers_come_as_the_integer_view():
     # the lcm of the denominators 2 and 3, and nothing larger
     assert solve_equality_feasibility([[2, 0], [0, 3]], [1, 1]) == (6, [3, 2])
     assert solve_equality_feasibility([], []) == (1, [])
+
+
+def test_zero_width_rows():
+    # no unknowns: 0 = 0 holds at the empty point, 0 = 1 nowhere
+    for solver in (solve_equality_feasibility, feasible_point):
+        assert solver([[]], [0]) == (1, [])
+        assert solver([[]], [1]) is None
 
 
 def _tableau(rows, rhs):
@@ -294,37 +304,31 @@ def mixing_systems(rng, count):
     """The integer (rows, rhs) that `_mixing_witness` poses on sampler
     stacks, whose entries have large denominators that differ from entry to
     entry."""
-    systems = []
 
     def view(w):
         return w._scale, w._nums
 
-    def record(rows, rhs):
-        systems.append((rows, rhs))
-        return None
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "solve_equality_feasibility", record)
-        for case in range(count):
-            n = rng.randint(2, 4)
-            d = rng.randint(1, 2)
-            ys = [old_random_weight_vector(rng, n) for _ in range(d)]
-            if case % 3 == 0:
-                # a witness LP: (d, d) and (beta, alpha), often infeasible
-                d_, beta = view(ys[0]), view(ys[-1])
-                pairs = [(d_, d_), (beta, view(old_random_weight_vector(rng, n)))]
-            else:
-                k = rng.randint(1, n)
-                p = random_doubly_stochastic(rng.randrange(10**9), n, k=k)
-                xs = [apply(y, p) for y in ys]
-                if case % 3 == 2:
-                    # sharpen one target: no mixing matrix reaches it
-                    flat, sharp = old_random_strict_majorization_pair(rng, n)
-                    ys[-1], xs[-1] = flat, sharp
-                ones = (1, (1,) * n)
-                pairs = [(ones, ones)]
-                pairs += [(view(y), view(x)) for x, y in zip(xs, ys)]
-            _mixing_witness(pairs, n)
+    systems = []
+    for case in range(count):
+        n = rng.randint(2, 4)
+        d = rng.randint(1, 2)
+        ys = [old_random_weight_vector(rng, n) for _ in range(d)]
+        if case % 3 == 0:
+            # a witness LP: (d, d) and (beta, alpha), often infeasible
+            d_, beta = view(ys[0]), view(ys[-1])
+            pairs = [(d_, d_), (beta, view(old_random_weight_vector(rng, n)))]
+        else:
+            k = rng.randint(1, n)
+            p = random_doubly_stochastic(rng.randrange(10**9), n, k=k)
+            xs = [apply(y, p) for y in ys]
+            if case % 3 == 2:
+                # sharpen one target: no mixing matrix reaches it
+                flat, sharp = old_random_strict_majorization_pair(rng, n)
+                ys[-1], xs[-1] = flat, sharp
+            ones = (1, (1,) * n)
+            pairs = [(ones, ones)]
+            pairs += [(view(y), view(x)) for x, y in zip(xs, ys)]
+        systems.append(_mixing_system(pairs, n))
     return systems
 
 
@@ -344,25 +348,36 @@ def test_same_answers_as_the_reference_loop_on_mixing_systems():
     assert min(outcomes.values()) >= 10
 
 
-#: ``lp._pivot`` calls over the stacks of ``test_pivot_count_is_pinned``
+#: ``lp._pivot`` calls of the exact simplex over the stacks of
+#: ``test_pivot_count_is_pinned``
 PINNED_PIVOTS = 144
 #: The largest bit-length of a tableau entry over the same stacks
 PINNED_ENTRY_BITS = 272
+#: ``lp._pivot`` calls of ``feasible_point``'s exact elimination over the
+#: same stacks, and the largest bit-length of an entry it holds
+PINNED_PROPOSAL_PIVOTS = 106
+PINNED_PROPOSAL_ENTRY_BITS = 153
 
 
 def test_pivot_count_is_pinned(monkeypatch):
     # A deterministic work guard: the pivots over a fixed set of
     # library-built feasible stacks, one for each n in 4..6 and d in 2..3,
-    # and the size of the largest integer the tableau holds on the way.
+    # and the size of the largest integer the tableau holds on the way,
+    # for the exact simplex and for the elimination on the float basis.
     # More pivots or larger entries fail here on any machine, with no
     # timing noise.
     systems = []
+    fallbacks = []
     pivots = []
     bits = []
-    solve, pivot = lp.solve_equality_feasibility, lp._pivot
+    propose, solve, pivot = lp.feasible_point, lp.solve_equality_feasibility, lp._pivot
 
     def recorded(rows, rhs):
         systems.append((rows, rhs))
+        return propose(rows, rhs)
+
+    def fallback(rows, rhs):
+        fallbacks.append((rows, rhs))
         return solve(rows, rhs)
 
     def largest(tableau):
@@ -374,7 +389,8 @@ def test_pivot_count_is_pinned(monkeypatch):
         pivot(tableau, row, col)
         bits.append(largest(tableau))
 
-    monkeypatch.setattr(lp, "solve_equality_feasibility", recorded)
+    monkeypatch.setattr(lp, "feasible_point", recorded)
+    monkeypatch.setattr(lp, "solve_equality_feasibility", fallback)
     monkeypatch.setattr(lp, "_pivot", counted)
     for seed in range(6):
         rng = random.Random(seed)
@@ -383,8 +399,16 @@ def test_pivot_count_is_pinned(monkeypatch):
         p = random_doubly_stochastic(seed, n, k=n)
         assert multivariate_feasible([apply(y, p) for y in ys], ys) is not None
     assert len(systems) == 6
-    assert len(pivots) == PINNED_PIVOTS
-    assert max(bits) == PINNED_ENTRY_BITS
+    assert fallbacks == []
+    assert (len(pivots), max(bits)) == (
+        PINNED_PROPOSAL_PIVOTS,
+        PINNED_PROPOSAL_ENTRY_BITS,
+    )
+    pivots.clear()
+    bits.clear()
+    for rows, rhs in systems:
+        assert solve(rows, rhs) is not None
+    assert (len(pivots), max(bits)) == (PINNED_PIVOTS, PINNED_ENTRY_BITS)
     bland = []
     for rows, rhs in systems:
         bland_solve(rows, rhs, bland)
@@ -432,3 +456,122 @@ def test_scaling_equations(monkeypatch):
     # the per-equation scale does steer the pivots, so a caller must
     # choose one common scale to keep them
     assert moved > 0
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The systems that ``feasible_point`` hands to the exact simplex."""
+    calls = []
+
+    def counted(rows, rhs):
+        calls.append((rows, rhs))
+        return solve_equality_feasibility(rows, rhs)
+
+    monkeypatch.setattr(lp, "solve_equality_feasibility", counted)
+    return calls
+
+
+def agrees_with_the_exact_simplex(rows, rhs, fallbacks):
+    """``feasible_point``'s answer, once it has the exact simplex's verdict,
+    got any None from the exact simplex, and solves the system exactly in
+    the canonical integer view; and whether it fell back."""
+    fallbacks.clear()
+    point = feasible_point(rows, rhs)
+    assert (point is None) == (solve_equality_feasibility(rows, rhs) is None)
+    if point is None:
+        assert fallbacks == [(rows, rhs)]
+    else:
+        scale, xs = point
+        assert all(x >= 0 for x in xs)
+        for row, b in zip(rows, rhs):
+            assert sum(c * x for c, x in zip(row, xs)) == b * scale
+        assert math.lcm(*(F(x, scale).denominator for x in xs)) == scale
+    return point, bool(fallbacks)
+
+
+def test_feasible_point_on_mixing_systems(fallbacks):
+    rng = random.Random(1967)
+    outcomes = Counter()
+    for rows, rhs in mixing_systems(rng, 45):
+        i, j = rng.sample(range(len(rows)), 2)
+        redundant = (
+            rows + [[a + b for a, b in zip(rows[i], rows[j])]],
+            rhs + [rhs[i] + rhs[j]],
+        )
+        for system in ((rows, rhs), redundant):
+            point, fell_back = agrees_with_the_exact_simplex(*system, fallbacks)
+            outcomes[point is not None, fell_back] += 1
+    # the infeasible systems reach the exact simplex; no feasible one does
+    assert outcomes[False, True] >= 20
+    assert outcomes[True, False] >= 20
+    assert outcomes[True, True] == 0
+
+
+def test_feasible_point_on_degenerate_systems(fallbacks):
+    rng = random.Random(1977)
+    outcomes = Counter()
+    for rows, rhs in degenerate_systems(rng, 300):
+        system = [[int(c) for c in row] for row in rows], [int(b) for b in rhs]
+        point, fell_back = agrees_with_the_exact_simplex(*system, fallbacks)
+        outcomes[point is not None, fell_back] += 1
+    assert outcomes[False, True] >= 50
+    assert outcomes[True, False] >= 50
+
+
+def test_feasible_point_with_awkward_rationals(fallbacks):
+    # the system of test_exactness_with_awkward_rationals over its common
+    # denominator: floats find the basis, and the elimination gives the
+    # exact point
+    rows = [[10**12] * 3, [10**12, 0, 0]]
+    assert feasible_point(rows, [10**12, 1]) == (10**12, [1, 10**12 - 1, 0])
+    assert fallbacks == []
+    # its twin with -1e-12 is infeasible; within the float tolerance the
+    # float run calls it feasible, the elimination on its basis leaves
+    # 0 = -1, and the exact simplex answers
+    assert agrees_with_the_exact_simplex(rows, [10**12, -1], fallbacks) == (None, True)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        None,  # the float run found no feasible basis
+        [0, 0],  # singular
+        [0, 1],  # x0 = -1
+        [0],  # x0 = 1 leaves 0 = 2
+        [],  # leaves 1 = 0 and 2 = 0
+    ],
+)
+def test_a_failed_proposal_goes_to_the_exact_simplex(monkeypatch, fallbacks, basis):
+    rows, rhs = [[1, 1, 0], [0, 1, 1]], [1, 2]
+    monkeypatch.setattr(lp, "_float_basis", lambda *_: basis)
+    assert feasible_point(rows, rhs) == solve_equality_feasibility(rows, rhs)
+    assert fallbacks == [(rows, rhs)]
+
+
+def test_a_good_basis_needs_no_exact_simplex(monkeypatch, fallbacks):
+    # the third equation is the sum of the others, so its artificial
+    # (column 5) stays basic at 0; only structural columns are eliminated
+    rows, rhs = [[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 2, 3]
+    monkeypatch.setattr(lp, "_float_basis", lambda *_: [2, 1, 5])
+    assert feasible_point(rows, rhs) == (1, [0, 1, 1])
+    assert fallbacks == []
+
+
+def test_repeated_solves_keep_no_memory():
+    # A star-args tuple built from an iterator stays in CPython's tuple free
+    # list once freed, one more per call up to 2,000 a size, and the
+    # process's peak RSS grows with the number of solves.
+    for rows, rhs in mixing_systems(random.Random(1967), 6):
+        for solver in (feasible_point, solve_equality_feasibility):
+            gc.collect()  # empties the free lists
+            gc.disable()
+            try:
+                for _ in range(100):  # they fill to their working size
+                    solver(rows, rhs)
+                before = sys.getallocatedblocks()
+                for _ in range(200):
+                    solver(rows, rhs)
+                grown = sys.getallocatedblocks() - before
+            finally:
+                gc.enable()
+            assert grown < 20, (solver.__name__, grown)

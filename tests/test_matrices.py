@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import majorization_pairs, weight_vectors
+from conftest import huge_denominator_stack, majorization_pairs, weight_vectors
 from old_chain import old_compose, old_muirhead_decompose, old_random_doubly_stochastic
 from old_sampler import (
     old_random_majorization_pair,
@@ -668,6 +668,7 @@ class TestMultivariateFeasible:
         def no_lp(rows, rhs):
             raise AssertionError("the LP ran")
 
+        monkeypatch.setattr(naivediv.lp, "feasible_point", no_lp)
         monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", no_lp)
         y = [weight_vector(["1/2", "1/3", "1/6"]), uniform_vector(3)]
         x = [uniform_vector(3), weight_vector(["1/2", "1/2", "0"])]
@@ -679,6 +680,7 @@ class TestMultivariateFeasible:
         def no_lp(rows, rhs):
             raise AssertionError("the LP ran")
 
+        monkeypatch.setattr(naivediv.lp, "feasible_point", no_lp)
         monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", no_lp)
         y = weight_vector(["1/2", "1/3", "1/6"])
         x = weight_vector(["1/3", "1/6", "1/2"])
@@ -690,9 +692,11 @@ class TestMultivariateFeasible:
     def test_a_wrong_lp_point_is_caught(self, monkeypatch):
         # a nonnegative point with unit row sums that carries no row: the
         # exact check rejects it rather than return it as a witness
-        def wrong(rows, rhs):
+        def wrong(rows, *_):
             return 3, [1] * len(rows[0])
 
+        # both the elimination on the float basis and the exact simplex
+        monkeypatch.setattr(naivediv.lp, "_solve_on", wrong)
         monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", wrong)
         y = [weight_vector(["1/2", "1/3", "1/6"]), weight_vector(["1/2", "1/2", "0"])]
         with pytest.raises(RuntimeError, match="exact check"):
@@ -700,20 +704,43 @@ class TestMultivariateFeasible:
 
     def test_jointly_infeasible_rows_reach_the_lp(self, monkeypatch):
         # each target row is majorized by its source row, but one P would
-        # have to send (1, 0, 0) to two different rows
+        # have to send (1, 0, 0) to two different rows; the verdict comes
+        # from the exact simplex
         calls = []
-        solve = naivediv.lp.solve_equality_feasibility
 
-        def counted(rows, rhs):
-            calls.append(len(rows))
-            return solve(rows, rhs)
+        def counted(name):
+            solve = getattr(naivediv.lp, name)
 
-        monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", counted)
+            def call(rows, rhs):
+                calls.append(name)
+                return solve(rows, rhs)
+
+            return call
+
+        for name in ("feasible_point", "solve_equality_feasibility"):
+            monkeypatch.setattr(naivediv.lp, name, counted(name))
         y = [weight_vector(["1", "0", "0"])] * 2
         x = [weight_vector(["1/2", "1/2", "0"]), weight_vector(["0", "1/2", "1/2"])]
         assert all(map(majorizes, y, x))
         assert multivariate_feasible(x, y) is None
-        assert len(calls) == 1
+        assert calls == ["feasible_point", "solve_equality_feasibility"]
+
+    def test_huge_denominators_get_the_exact_verdict(self):
+        # every float conversion is an int true division of at most 1 in
+        # size: float() of the equations' ints would overflow
+        xs, ys = huge_denominator_stack(1790)
+        assert 1700 < max(w._scale.bit_length() for w in xs + ys) < 1900
+        ones = (1, (1, 1, 1))
+        pairs = [(ones, ones)] + [
+            ((y._scale, y._nums), (x._scale, x._nums)) for x, y in zip(xs, ys)
+        ]
+        rows, rhs = naivediv.matrices._mixing_system(pairs, 3)
+        with pytest.raises(OverflowError):
+            float(max(abs(c) for row in rows for c in row))
+        assert naivediv.lp.solve_equality_feasibility(rows, rhs) is not None
+        witness = multivariate_feasible(xs, ys)
+        assert witness is not None
+        assert naivediv.matrices._carries(witness, pairs)
 
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
@@ -744,9 +771,11 @@ class TestDStochasticWitness:
 
     def test_a_wrong_lp_point_is_caught(self, monkeypatch):
         # each row of A sums to 1 and d @ A == d, but beta @ A != alpha
-        def wrong(rows, rhs):
+        def wrong(rows, *_):
             return 3, [1] * len(rows[0])
 
+        # both the elimination on the float basis and the exact simplex
+        monkeypatch.setattr(naivediv.lp, "_solve_on", wrong)
         monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", wrong)
         d = uniform_vector(3)
         beta = weight_vector(["1/2", "1/3", "1/6"])

@@ -211,6 +211,7 @@ class TestRelativePreference:
         def no_lp(*args, **kwargs):
             raise AssertionError("the verdict must not solve an LP")
 
+        monkeypatch.setattr(naivediv.lp, "feasible_point", no_lp)
         monkeypatch.setattr(naivediv.lp, "solve_equality_feasibility", no_lp)
         d = weight_vector(["1/2", "1/4", "1/4", "0"])
         beta = weight_vector(["1/10", "3/5", "1/5", "1/10"])
