@@ -3,7 +3,9 @@
 Machine formats keep every number as an exact rational string ("1/2",
 "0.25" -> exactly 1/4); floats appear only in explicitly decimal fields
 like practical turnover and cost.  Weight files are JSON by default, CSV
-when the path ends in .csv.
+when the path ends in .csv.  Every file is read in one go as bytes and
+decoded as UTF-8, and a JSON file must be RFC 8259 JSON text: a file that
+is not is reported with its path.
 
 Every weight vector, allocation row and plan intermediate is built on
 ints by ``_weight_vector``; its Fraction entries are made only when
@@ -201,15 +203,18 @@ def weights_from_dict(data: dict) -> WeightVector:
 
 
 def _load_weights_csv(text: str, where: Path) -> WeightVector:
-    reader = csv.reader(io.StringIO(text))
+    # newline=None: any line ending reads as one, as when reading in text mode
+    reader = csv.reader(io.StringIO(text, newline=None))
     rows = [row for row in reader if row]
     if not rows or [cell.strip() for cell in rows[0]] != ["label", "weight"]:
-        raise ValueError("weight CSV must start with a 'label,weight' header")
+        raise ValueError(
+            f"{where}: weight CSV must start with a 'label,weight' header"
+        )
     labels = []
     weights = []
     for row in rows[1:]:
         if len(row) != 2:
-            raise ValueError(f"weight CSV rows need 2 columns, got {row!r}")
+            raise ValueError(f"{where}: weight CSV rows need 2 columns, got {row!r}")
         labels.append(row[0].strip())
         weights.append(row[1])
     return _weight_vector(
@@ -217,12 +222,38 @@ def _load_weights_csv(text: str, where: Path) -> WeightVector:
     )
 
 
+def _read_text(path: Path) -> str:
+    """The file at ``path``, read in one go as bytes and decoded as UTF-8;
+    an invalid byte is reported with the path."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_json(path: Path) -> object:
+    """The JSON value in the file at ``path``, read as UTF-8 JSON text (RFC
+    8259); malformed text, a byte-order mark included, is reported with the
+    path."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_weights(path: str | Path) -> WeightVector:
-    """Read a weight allocation from a JSON (default) or .csv file."""
+    """Read a weight allocation from a JSON (default) or .csv file.
+
+    Both are read as UTF-8, JSON as RFC 8259 JSON text; a file that is not
+    is reported with its path.
+    """
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        return _load_weights_csv(p.read_text(), p)
-    return _weights_from_dict(json.loads(p.read_text()), p)
+        return _load_weights_csv(_read_text(p), p)
+    return _weights_from_dict(_read_json(p), p)
 
 
 def matrix_to_dict(m: SquareMatrix) -> dict:
@@ -235,7 +266,7 @@ def matrix_to_dict(m: SquareMatrix) -> dict:
 
 def _entries(path: Path) -> tuple[dict, list[list]]:
     """A matrix or allocation file's JSON object and its 'entries' grid."""
-    data = json.loads(path.read_text())
+    data = _read_json(path)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError(f"{path}: needs a JSON object with an 'entries' field")
     return data, _json_rows(data["entries"], "entries", path)

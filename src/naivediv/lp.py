@@ -10,11 +10,12 @@ It gives every "infeasible" verdict.
 exact elimination decides (as in certified LP: Koch, Oper. Res. Lett.
 32:138, 2004; Applegate, Cook, Dash and Espinoza, Oper. Res. Lett.
 35:693, 2007).  The same simplex, run on floats, proposes a final basis;
-the exact integer tableau, restricted to that basis's structural columns,
-is pivoted onto them; the point it gives is returned when every value is
->= 0 and every other equation reads 0 = 0.  Everything else (a float run
-that ends infeasible or at its cap, a singular basis, a negative value,
-an unsolved equation) is handed to the exact simplex.  Floats never decide
+the equations, restricted to that basis's structural columns, are solved
+exactly by forward elimination and one back-substitution; the point is
+returned when every value is >= 0 and every equation left over from the
+elimination reads 0 = 0.  Everything else (a float run that ends
+infeasible or at its cap, a singular basis, a negative value, an unsolved
+equation) is handed to the exact simplex.  Floats never decide
 a verdict: a returned point solves the system exactly, and None comes only
 from the exact simplex.  The point can be another vertex than the exact
 simplex alone would reach, when float rounding steers a tie another way.
@@ -57,6 +58,15 @@ most 1 in size: no int, however long, overflows a float.  Entries within
 ``_FLOAT_TOL`` of 0 count as 0, and ratios or reduced costs within it of
 each other as ties, so that rounding steers the choices as little as it
 can; a wrong choice costs only the fall back to the exact simplex.
+
+The exact step on the float basis keeps the rows primitive and pivots as
+above, but clears each column only from the rows not yet used as pivots,
+so the pivot rows end upper triangular and are never updated again.  One
+back-substitution then reads the point off them over a single common
+denominator, which grows only by the part of each pivot that does not
+cancel.  A Gauss-Jordan pass would also clear every column from the
+earlier pivot rows, for the same point at about three times the row
+updates.
 
 The callers ask about order-n mixing matrices: n^2 structural variables
 and a few dozen equations at the orders in use, where a dense tableau is
@@ -148,19 +158,22 @@ def _solve_on(
     rows: list[list[int]], rhs: list[int], nvars: int, columns: list[int]
 ) -> tuple[int, list[int]] | None:
     """The integer view of the point whose nonzero entries sit in
-    ``columns``, by exact elimination; None unless that point exists, is
+    ``columns``, by one exact solve; None unless that point exists, is
     nonnegative and solves every equation.
 
-    The tableau holds only those columns and the right-hand side.  Each
-    column is pivoted on the first unused row with a nonzero entry there,
-    negated first when that entry is negative; the unused rows must then
-    read 0 = 0.
+    The tableau holds only those columns and the right-hand side.  Forward
+    elimination takes the columns in turn: each is pivoted on the first
+    unused row with a nonzero entry there, negated first when that entry
+    is negative, and cleared from the unused rows only.  The unused rows
+    must then read 0 = 0.  The pivot rows are left upper triangular, and
+    one back-substitution from the last column to the first solves them
+    over a single common denominator, stopping at the first negative value.
     """
     tableau = [
         _primitive([row[j] for j in columns] + [b]) for row, b in zip(rows, rhs)
     ]
     free = list(range(len(tableau)))
-    pivots = []
+    upper = []
     for k in range(len(columns)):
         i = next((i for i in free if tableau[i][k]), -1)
         if i < 0:
@@ -168,17 +181,28 @@ def _solve_on(
         free.remove(i)
         if tableau[i][k] < 0:
             tableau[i] = [-e for e in tableau[i]]
-        _pivot(tableau, i, k)
-        pivots.append(i)
+        _pivot(tableau, i, k, free)
+        upper.append(tableau[i])
     if any(tableau[i][-1] for i in free):
         return None
-    values = [
-        (j, tableau[i][-1], tableau[i][k])
-        for k, (j, i) in enumerate(zip(columns, pivots))
-    ]
-    if any(p < 0 for _, p, _ in values):
-        return None
-    return _integer_view(nvars, values)
+    # x_k == nums[k] / den
+    den = 1
+    nums = [0] * len(upper)
+    for k in range(len(upper) - 1, -1, -1):
+        row = upper[k]
+        t = row[-1] * den - sum(
+            [row[j] * nums[j] for j in range(k + 1, len(upper)) if nums[j]]
+        )
+        if t < 0:
+            return None
+        if t:
+            g = math.gcd(t, row[k])
+            f = row[k] // g
+            if f > 1:
+                den *= f
+                nums = [x * f for x in nums]
+            nums[k] = t // g
+    return _integer_view(nvars, [(j, x, den) for j, x in zip(columns, nums) if x])
 
 
 def solve_equality_feasibility(
@@ -280,12 +304,16 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-def _pivot(tableau: list[list[int]], row: int, col: int) -> None:
-    """Pivot the integer-row tableau on entry (row, col), which is positive."""
+def _pivot(
+    tableau: list[list[int]], row: int, col: int, others: list[int] | None = None
+) -> None:
+    """Pivot the integer-row tableau on entry (row, col), which is positive:
+    clear column ``col`` from the rows ``others``, every other row when None."""
     pivot_row = tableau[row]
     a = pivot_row[col]
     support = [(j, p) for j, p in enumerate(pivot_row) if p]
-    for i, other in enumerate(tableau):
+    for i in range(len(tableau)) if others is None else others:
+        other = tableau[i]
         f = other[col]
         if i != row and f:
             # a > 0, so this is a positive multiple of other - (f / a) * pivot

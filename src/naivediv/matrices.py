@@ -419,10 +419,16 @@ def _mixing_system(
 
 
 def _mixing_witness(
-    pairs: Sequence[tuple[_Ints, _Ints]], n: int
+    pairs: Sequence[tuple[_Ints, _Ints]],
+    n: int,
+    kind: type[SquareMatrix] = SquareMatrix,
 ) -> SquareMatrix | None:
     """An order-n P >= 0 whose rows sum to 1 with u @ P == v for every
     pair, confirmed by ``_carries``; None when no such P exists.
+
+    P comes as a ``kind``, built on the LP's canonical integer view with
+    no check of its own: ``_carries`` is the one check, so a
+    DoublyStochasticMatrix needs the pair (1, 1) among ``pairs``.
 
     ``lp.feasible_point`` solves the equations of ``_mixing_system``:
     floats propose a basis, one exact elimination on it gives the point,
@@ -440,7 +446,9 @@ def _mixing_witness(
         return None
     x_scale, xs = solution
     a = [xs[r * n : (r + 1) * n] for r in range(n)]
-    return _confirmed(SquareMatrix._from_ints(a, x_scale), pairs)
+    witness = object.__new__(kind)
+    SquareMatrix._settle(witness, x_scale, a)
+    return _confirmed(witness, pairs)
 
 
 def multivariate_feasible(
@@ -479,11 +487,7 @@ def multivariate_feasible(
     ]
     if d == 1:
         return _confirmed(hlp_witness(y_rows[0], x_rows[0]), pairs)
-    witness = _mixing_witness(pairs, n)
-    if witness is None:
-        return None
-    scale, a = witness._scaled
-    return DoublyStochasticMatrix._from_ints(a, scale)
+    return _mixing_witness(pairs, n, DoublyStochasticMatrix)
 
 
 def d_stochastic_witness(

@@ -816,6 +816,56 @@ class TestMalformedFiles:
             f"naivediv: {bad}: row 2 of 'entries': weights must sum to exactly 1, got 5/6\n"
         )
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            # truncated: the closing bracket and brace are missing
+            (b'{"weights": ["1/2", "1/2"', "Expecting ',' delimiter"),
+            # 0xff is never a UTF-8 byte
+            (b'{"weights": ["1/2", "1/2"], "labels": ["\xff", "b"]}', "can't decode byte 0xff"),
+            # RFC 8259 JSON text carries no byte-order mark
+            (b'\xef\xbb\xbf{"weights": ["1/2", "1/2"]}', "Unexpected UTF-8 BOM"),
+        ],
+        ids=["truncated", "invalid-utf8", "bom"],
+    )
+    @pytest.mark.parametrize("command", ["compare", "multi-check", "rebalance"])
+    def test_unreadable_text_names_its_file(self, tmp_path, command, raw, message, capsys):
+        bad = tmp_path / "bad.json"
+        good = tmp_path / "good.json"
+        if command == "multi-check":
+            raw = raw.replace(b'"weights": [', b'"entries": [[').replace(b'"]', b'"]]')
+            good.write_text(json.dumps({"entries": [["1/2", "1/2"]]}))
+        else:
+            good.write_text(json.dumps({"weights": ["1/2", "1/2"]}))
+        bad.write_bytes(raw)
+        argv = {
+            "compare": ["compare", str(good), str(bad)],
+            "multi-check": ["multi-check", str(good), str(bad)],
+            "rebalance": ["rebalance", str(good), "--target", str(bad)],
+        }[command]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"naivediv: {bad}: ") and message in err
+
+    def test_csv_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"label,weight\n\xe9,1/2\nb,1/2\n")
+        code, out, err = run_cli(["measures", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"naivediv: {bad}: ") and "can't decode byte 0xe9" in err
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_csv_reads_any_line_ending(self, tmp_path, ending, capsys):
+        path = tmp_path / "w.csv"
+        path.write_bytes(ending.join(["label,weight", "a,1/4", "b,3/4", ""]).encode())
+        same = tmp_path / "w.json"
+        same.write_text(json.dumps({"labels": ["a", "b"], "weights": ["1/4", "3/4"]}))
+        outputs = [
+            run_cli(["measures", str(p), "--format", "json"], capsys)
+            for p in (path, same)
+        ]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     def test_negative_lorenz_points(self, reference_file, capsys):
         code, out, err = run_cli(["lorenz", reference_file, "--points", "-3"], capsys)
         assert code == 1

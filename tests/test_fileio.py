@@ -102,14 +102,18 @@ class TestWeightFiles:
     def test_csv_needs_header(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("a,1/2\nb,1/2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             load_weights(path)
+        assert str(exc.value) == f"{path}: weight CSV must start with a 'label,weight' header"
 
     def test_csv_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("label,weight\na,1/2,extra\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             load_weights(path)
+        assert str(exc.value) == (
+            f"{path}: weight CSV rows need 2 columns, got ['a', '1/2', 'extra']"
+        )
 
 
 class TestMatrixFiles:

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from old_elimination import old_solve_on
 from old_sampler import old_random_strict_majorization_pair, old_random_weight_vector
 from naivediv import lp
 from naivediv.lp import feasible_point, solve_equality_feasibility
@@ -353,24 +354,33 @@ def test_same_answers_as_the_reference_loop_on_mixing_systems():
 PINNED_PIVOTS = 144
 #: The largest bit-length of a tableau entry over the same stacks
 PINNED_ENTRY_BITS = 272
-#: ``lp._pivot`` calls of ``feasible_point``'s exact elimination over the
-#: same stacks, and the largest bit-length of an entry it holds
+#: ``lp._pivot`` calls of ``feasible_point``'s exact step over the same
+#: stacks, the rows they update, and the largest bit-length of an entry
+#: the step holds.  The Gauss-Jordan step it replaced (``old_elimination``)
+#: updated 634 rows with the same pivots and entries.
 PINNED_PROPOSAL_PIVOTS = 106
+PINNED_PROPOSAL_ROW_UPDATES = 232
 PINNED_PROPOSAL_ENTRY_BITS = 153
+#: The largest bit-length of a back-substitution numerator or denominator
+#: over the same stacks; each stack's is also at most its answer's scale
+PINNED_BACK_SUBSTITUTION_BITS = 168
 
 
 def test_pivot_count_is_pinned(monkeypatch):
     # A deterministic work guard: the pivots over a fixed set of
     # library-built feasible stacks, one for each n in 4..6 and d in 2..3,
     # and the size of the largest integer the tableau holds on the way,
-    # for the exact simplex and for the elimination on the float basis.
-    # More pivots or larger entries fail here on any machine, with no
-    # timing noise.
+    # for the exact simplex and for the exact step on the float basis.
+    # More pivots, more row updates or larger entries fail here on any
+    # machine, with no timing noise.
     systems = []
     fallbacks = []
     pivots = []
+    updates = []
     bits = []
+    carried = []
     propose, solve, pivot = lp.feasible_point, lp.solve_equality_feasibility, lp._pivot
+    view = lp._integer_view
 
     def recorded(rows, rhs):
         systems.append((rows, rhs))
@@ -383,15 +393,27 @@ def test_pivot_count_is_pinned(monkeypatch):
     def largest(tableau):
         return max(abs(e).bit_length() for row in tableau for e in row)
 
-    def counted(tableau, row, col):
+    def counted(tableau, row, col, others=None):
         pivots.append((row, col))
+        targets = range(len(tableau)) if others is None else others
+        updates.extend(i for i in targets if i != row and tableau[i][col])
         bits.append(largest(tableau))
-        pivot(tableau, row, col)
+        pivot(tableau, row, col, others)
         bits.append(largest(tableau))
+
+    def scaled(nvars, values):
+        # the back-substitution's numerators and common denominator, at
+        # their largest: both only grow on the way
+        values = list(values)
+        answer = view(nvars, values)
+        entry = max(max(abs(p).bit_length(), q.bit_length()) for _, p, q in values)
+        carried.append((entry, answer[0].bit_length()))
+        return answer
 
     monkeypatch.setattr(lp, "feasible_point", recorded)
     monkeypatch.setattr(lp, "solve_equality_feasibility", fallback)
     monkeypatch.setattr(lp, "_pivot", counted)
+    monkeypatch.setattr(lp, "_integer_view", scaled)
     for seed in range(6):
         rng = random.Random(seed)
         n, d = 4 + seed % 3, 2 + seed // 3
@@ -400,10 +422,14 @@ def test_pivot_count_is_pinned(monkeypatch):
         assert multivariate_feasible([apply(y, p) for y in ys], ys) is not None
     assert len(systems) == 6
     assert fallbacks == []
-    assert (len(pivots), max(bits)) == (
+    assert (len(pivots), len(updates), max(bits)) == (
         PINNED_PROPOSAL_PIVOTS,
+        PINNED_PROPOSAL_ROW_UPDATES,
         PINNED_PROPOSAL_ENTRY_BITS,
     )
+    assert len(carried) == 6
+    assert all(entry <= scale for entry, scale in carried)
+    assert max(entry for entry, _ in carried) == PINNED_BACK_SUBSTITUTION_BITS
     pivots.clear()
     bits.clear()
     for rows, rhs in systems:
@@ -555,6 +581,77 @@ def test_a_good_basis_needs_no_exact_simplex(monkeypatch, fallbacks):
     monkeypatch.setattr(lp, "_float_basis", lambda *_: [2, 1, 5])
     assert feasible_point(rows, rhs) == (1, [0, 1, 1])
     assert fallbacks == []
+
+
+def column_sets(rng, rows, rhs):
+    """Column sets for the exact step: the structural columns of the float
+    basis when the float run finds one, the same columns shuffled, and
+    random sets, which mostly leave no point."""
+    nvars = len(rows[0])
+    basis = lp._float_basis(rows, rhs, nvars)
+    sets = []
+    if basis is not None:
+        columns = [j for j in basis if j < nvars]
+        sets += [columns, rng.sample(columns, len(columns))]
+    for _ in range(3):
+        size = rng.randint(0, min(nvars, len(rows)))
+        sets.append(rng.sample(range(nvars), size))
+    return sets
+
+
+def test_the_exact_step_matches_gauss_jordan():
+    # On a fixed column set the point is unique, so forward elimination
+    # with one back-substitution gives what the Gauss-Jordan step gave,
+    # None included, whatever the order of the columns.
+    rng = random.Random(2007)
+    systems = mixing_systems(rng, 45)
+    systems += [
+        ([[int(c) for c in row] for row in rows], [int(b) for b in rhs])
+        for rows, rhs in degenerate_systems(rng, 300)
+    ]
+    awkward = [[10**12] * 3, [10**12, 0, 0]]
+    systems += [(awkward, [10**12, 1]), (awkward, [10**12, -1])]
+    outcomes = Counter()
+    for rows, rhs in systems:
+        nvars = len(rows[0])
+        sets = column_sets(rng, rows, rhs)
+        for columns in sets:
+            point = lp._solve_on(rows, rhs, nvars, columns)
+            assert point == old_solve_on(rows, rhs, nvars, columns)
+            outcomes[point is not None] += 1
+        if lp._float_basis(rows, rhs, nvars) is not None:
+            assert lp._solve_on(rows, rhs, nvars, sets[0]) == lp._solve_on(
+                rows, rhs, nvars, sets[1]
+            )
+    assert min(outcomes.values()) >= 200
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, columns, answer",
+    [
+        # x0 + x2 = 1, x1 + x2 = 1: column 2 is the sum of the others, so
+        # no unused row is left to pivot it on
+        ([[1, 0, 1], [0, 1, 1]], [1, 1], [0, 1, 2], None),
+        # x0 + x1 = 1, x1 + x2 = 2 on columns 0 and 1: x1 = 2, x0 = -1
+        ([[1, 1, 0], [0, 1, 1]], [1, 2], [0, 1], None),
+        # on column 1 first: the value found last is the negative one
+        ([[1, 1, 0], [0, 1, 1]], [1, 2], [1, 0], None),
+        # on column 0 alone the second equation reads 0 = 2
+        ([[1, 1, 0], [0, 1, 1]], [1, 2], [0], None),
+        # on no column at all both equations are left unsolved
+        ([[1, 1, 0], [0, 1, 1]], [1, 2], [], None),
+        # a negative pivot entry is negated first: x0 = 1/2, x1 = 1/2
+        ([[-2, 0], [1, 1]], [-1, 1], [0, 1], (2, [1, 1])),
+        # a redundant equation reads 0 = 0 once the others are solved
+        ([[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 2, 3], [2, 1], (1, [0, 1, 1])),
+        # a zero value needs no division: x1 = 0, x0 = 1
+        ([[1, 1], [0, 3]], [1, 0], [0, 1], (1, [1, 0])),
+    ],
+)
+def test_the_exact_step_on_chosen_columns(rows, rhs, columns, answer):
+    nvars = len(rows[0])
+    assert lp._solve_on(rows, rhs, nvars, columns) == answer
+    assert old_solve_on(rows, rhs, nvars, columns) == answer
 
 
 def test_repeated_solves_keep_no_memory():

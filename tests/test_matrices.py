@@ -702,6 +702,37 @@ class TestMultivariateFeasible:
         with pytest.raises(RuntimeError, match="exact check"):
             multivariate_feasible(y, y)
 
+    def test_an_lp_witness_is_built_and_checked_once(self, monkeypatch):
+        # the witness is a DoublyStochasticMatrix from the start, in the
+        # canonical view, and _carries runs once, on every pair at once
+        checked = []
+        carries = naivediv.matrices._carries
+
+        def counted(m, pairs):
+            checked.append(len(pairs))
+            return carries(m, pairs)
+
+        rng = random.Random(3)
+        y = [random_weight_vector(rng, 4) for _ in range(2)]
+        x = [apply(row, random_doubly_stochastic(99, 4, k=3)) for row in y]
+        monkeypatch.setattr(naivediv.matrices, "_carries", counted)
+        witness = multivariate_feasible(x, y)
+        assert checked == [3]  # the pair (1, 1) and one pair a row
+        assert isinstance(witness, DoublyStochasticMatrix)
+        scale, a = witness._scaled
+        assert SquareMatrix._from_ints(a, scale)._scaled == (scale, a)
+
+    def test_a_point_that_is_not_doubly_stochastic_is_caught(self, monkeypatch):
+        # every row of P is (1, 0, 0): it carries both rows of y onto x, and
+        # only the pair (1, 1) rejects it
+        def lopsided(rows, *_):
+            return 1, [1, 0, 0] * 3
+
+        monkeypatch.setattr(naivediv.lp, "_solve_on", lopsided)
+        y = [weight_vector(["1", "0", "0"])] * 2
+        with pytest.raises(RuntimeError, match="exact check"):
+            multivariate_feasible(y, y)
+
     def test_jointly_infeasible_rows_reach_the_lp(self, monkeypatch):
         # each target row is majorized by its source row, but one P would
         # have to send (1, 0, 0) to two different rows; the verdict comes
