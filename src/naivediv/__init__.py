@@ -40,7 +40,6 @@ _EXPORTS = {
         "muirhead_decompose",
         "multivariate_feasible",
         "random_doubly_stochastic",
-        "t_to_matrix",
         "uniform_mixing_matrix",
     ),
     "measures": (
@@ -59,7 +58,6 @@ _EXPORTS = {
     "preferences": (
         "PreferenceOutcome",
         "aversion_squared",
-        "equal_weights",
         "inequality_aversion_coefficient",
         "more_is_better_chain",
         "naive_prefer",
@@ -67,7 +65,6 @@ _EXPORTS = {
     ),
     "rebalancing": (
         "RebalancePlan",
-        "TurnoverVector",
         "example_family",
         "frobenius_distance_squared",
         "min_permutation_distance_squared",
@@ -75,9 +72,7 @@ _EXPORTS = {
         "polytope_membership",
         "practical_turnover",
         "rebalance_to",
-        "sample_polytope",
         "turnover",
-        "turnover_vector",
     ),
     "simplex": (
         "LorenzCurve",

@@ -1,4 +1,4 @@
-"""Readers and writers for weight, matrix, and plan files.
+"""Readers for weight, allocation and plan files; writers for weights, matrices, plans.
 
 Machine formats keep every number as an exact rational string ("1/2",
 "0.25" -> exactly 1/4); floats appear only in explicitly decimal fields
@@ -45,8 +45,8 @@ from .simplex import (
     as_fraction,
 )
 
-# Only the matrix and plan readers build these types; they import them in
-# their bodies, so that loading weights does not load matrices.
+# Only annotations name these types here; the plan reader imports what it
+# builds in its body, so that loading weights does not load matrices.
 if TYPE_CHECKING:
     from .matrices import SquareMatrix
     from .rebalancing import RebalancePlan
@@ -264,40 +264,18 @@ def matrix_to_dict(m: SquareMatrix) -> dict:
     }
 
 
-def _entries(path: Path) -> tuple[dict, list[list]]:
-    """A matrix or allocation file's JSON object and its 'entries' grid."""
+def _entries(path: Path) -> list[list]:
+    """The 'entries' grid of a JSON object file, such as an allocation stack."""
     data = _read_json(path)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError(f"{path}: needs a JSON object with an 'entries' field")
-    return data, _json_rows(data["entries"], "entries", path)
-
-
-def load_square_matrix(path: str | Path) -> SquareMatrix:
-    """Read a square rational matrix from its JSON file form."""
-    from .matrices import SquareMatrix
-
-    p = Path(path)
-    data, grid = _entries(p)
-    rows = []
-    for i, row in enumerate(grid, 1):
-        try:
-            rows.append(tuple(parse_rational(e) for e in row))
-        except ValueError as exc:
-            raise ValueError(f"{p}: row {i} of 'entries': {exc}") from None
-    matrix = SquareMatrix(tuple(rows))
-    declared = data.get("order")
-    if declared is not None and declared != matrix.order:
-        raise ValueError(
-            f"{p}: 'order': declared order {declared} but entries are "
-            f"{matrix.order}x{matrix.order}"
-        )
-    return matrix
+    return _json_rows(data["entries"], "entries", path)
 
 
 def load_allocation_rows(path: str | Path) -> list[WeightVector]:
     """Read a d x n stack of allocations (each row sums to 1) from JSON."""
     p = Path(path)
-    _, grid = _entries(p)
+    grid = _entries(p)
     rows = [
         _weight_vector(row, f"{p}: row {i} of 'entries'")
         for i, row in enumerate(grid, 1)
@@ -455,7 +433,6 @@ __all__ = [
     "weights_from_dict",
     "load_weights",
     "matrix_to_dict",
-    "load_square_matrix",
     "load_allocation_rows",
     "plan_to_dict",
     "plan_from_dict",

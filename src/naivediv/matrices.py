@@ -44,8 +44,6 @@ from .simplex import (
     majorizes,
 )
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class SquareMatrix:
@@ -256,11 +254,6 @@ def apply(w: WeightVector, m: SquareMatrix) -> WeightVector:
     return _from_ints(mixed, w._scale * scale, w.labels)
 
 
-def t_to_matrix(t: TTransform, n: int) -> DoublyStochasticMatrix:
-    """Materialize a transform as an order-n doubly stochastic matrix."""
-    return compose((t,), n)
-
-
 def compose(steps: Iterable[TTransform], n: int) -> DoublyStochasticMatrix:
     """The order-n matrix of a transform chain, I @ T_1 @ ... @ T_m, exact.
 
@@ -365,7 +358,7 @@ def muirhead_decompose(
         if placed[i] == a[i]:
             continue
         source = next(s for s in range(i + 1, n) if placed[s] == a[i])
-        steps.append(TTransform(i, source, ZERO))
+        steps.append(TTransform(i, source, Fraction(0)))
         placed[i], placed[source] = placed[source], placed[i]
     return steps
 
@@ -534,7 +527,6 @@ __all__ = [
     "is_permutation",
     "is_d_stochastic",
     "apply",
-    "t_to_matrix",
     "compose",
     "apply_transform",
     "muirhead_decompose",

@@ -23,7 +23,6 @@ from .simplex import (
     _relative_curve,
     _sum_of_squares,
     compare,
-    uniform_vector,
 )
 
 
@@ -47,11 +46,6 @@ _FROM_RELATION = {
 def naive_prefer(alpha: WeightVector, beta: WeightVector) -> PreferenceOutcome:
     """Rank two allocations by spread: the majorized (flatter) one is preferred."""
     return _FROM_RELATION[compare(alpha, beta)]
-
-
-def equal_weights(n: int) -> WeightVector:
-    """The 1/n allocation — the unique maximum of the preference order."""
-    return uniform_vector(n)
 
 
 def more_is_better_chain(n: int) -> list[WeightVector]:
@@ -108,7 +102,6 @@ def inequality_aversion_coefficient(d: WeightVector) -> float:
 __all__ = [
     "PreferenceOutcome",
     "naive_prefer",
-    "equal_weights",
     "more_is_better_chain",
     "relative_naive_prefer",
     "aversion_squared",

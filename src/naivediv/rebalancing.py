@@ -13,7 +13,6 @@ cheapest honest executor.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -29,7 +28,6 @@ from .matrices import (
     averaging_step_count,
     compose,
     muirhead_decompose,
-    uniform_mixing_matrix,
 )
 from .simplex import (
     RationalLike,
@@ -40,25 +38,6 @@ from .simplex import (
     half_l1,
     uniform_vector,
 )
-
-
-@dataclass(frozen=True)
-class TurnoverVector:
-    """Signed per-slot imbalances; they always cancel out in total."""
-
-    deltas: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        deltas = tuple(as_fraction(d) for d in self.deltas)
-        if sum(deltas) != 0:
-            raise ValueError("imbalances must sum to zero")
-        object.__setattr__(self, "deltas", deltas)
-
-
-def turnover_vector(w: WeightVector) -> TurnoverVector:
-    """Componentwise distance to the equal share: w - 1/n, exact."""
-    gaps = _slot_gaps(w.n, repeat(1, w.n), w._scale, w._nums)
-    return TurnoverVector(tuple(map(Fraction, gaps, repeat(w.n * w._scale))))
 
 
 def turnover(w: WeightVector) -> Fraction:
@@ -297,55 +276,7 @@ def minimal_turnover_plan(w: WeightVector, cost_rate: float = 0.0) -> RebalanceP
     return rebalance_to(w, uniform_vector(w.n), cost_rate)
 
 
-def sample_polytope(
-    w: WeightVector, seed: int, k: int
-) -> list[DoublyStochasticMatrix]:
-    """Draw ``k`` matrices that provably rebalance ``w`` to equal weights.
-
-    Candidates are built from known members — the full-mixing matrix, the
-    transform-chain product, and right-multiplications by permutations
-    (relabeling after equalizing stays in the polytope) — plus convex
-    combinations.  Left-multiplied variants are speculative: membership is
-    re-verified exactly and failures are discarded, so everything returned
-    is a genuine member.
-    """
-    if k < 0:
-        raise ValueError("sample count must be nonnegative")
-    n = w.n
-    rng = random.Random(seed)
-    full_mix = uniform_mixing_matrix(n)
-    chain = minimal_turnover_plan(w).composed_matrix()
-    members: list[SquareMatrix] = [full_mix, chain]
-    for _ in range(4):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        members.append(chain @ SquareMatrix.from_permutation(perm))
-
-    out: list[DoublyStochasticMatrix] = []
-    while len(out) < k:
-        kind = rng.randrange(3)
-        if kind == 0:
-            candidate = members[rng.randrange(len(members))]
-        elif kind == 1:
-            # Speculative: equalize a relabeled allocation; only sometimes works.
-            perm = list(range(n))
-            rng.shuffle(perm)
-            candidate = SquareMatrix.from_permutation(perm) @ chain
-        else:
-            chosen = rng.sample(members, min(len(members), 2 + rng.randrange(2)))
-            raw = [rng.randint(0, 100) for _ in chosen]
-            if sum(raw) == 0:
-                continue
-            candidate = SquareMatrix._mixture(raw, chosen)
-        if polytope_membership(candidate, w):
-            scale, a = candidate._scaled
-            out.append(DoublyStochasticMatrix._from_ints(a, scale))
-    return out
-
-
 __all__ = [
-    "TurnoverVector",
-    "turnover_vector",
     "turnover",
     "polytope_membership",
     "example_family",
@@ -355,5 +286,4 @@ __all__ = [
     "RebalancePlan",
     "rebalance_to",
     "minimal_turnover_plan",
-    "sample_polytope",
 ]

@@ -1,25 +1,18 @@
-"""The Fraction chain builder, chain composer and matrix samplers, kept as
+"""The Fraction chain builder, chain composer and matrix sampler, kept as
 oracles.
 
 Before the rebalancing chain ran on integer views, ``muirhead_decompose``
 moved mass between Fraction entries and ``compose`` mixed Fraction columns;
-``random_doubly_stochastic`` and ``sample_polytope`` mixed matrices entry by
-entry in Fractions.  The library's integer versions must give the same
-steps and the same matrices; these copies are what they are checked
-against.
+``random_doubly_stochastic`` mixed matrices entry by entry in Fractions.
+The library's integer versions must give the same steps and the same
+matrices; these copies are what they are checked against.
 """
 
 import random
 from fractions import Fraction as F
 
 from naivediv.errors import IndexOutOfRange, LengthMismatch, NotMajorized
-from naivediv.matrices import (
-    DoublyStochasticMatrix,
-    SquareMatrix,
-    TTransform,
-    uniform_mixing_matrix,
-)
-from naivediv.rebalancing import minimal_turnover_plan, polytope_membership
+from naivediv.matrices import DoublyStochasticMatrix, SquareMatrix, TTransform
 from naivediv.simplex import majorizes
 
 
@@ -101,40 +94,3 @@ def old_random_doubly_stochastic(seed, n, k=1):
     raw = [F(rng.randint(1, 1000)) for _ in range(k)]
     total = sum(raw)
     return DoublyStochasticMatrix(_fraction_mixture([x / total for x in raw], perms, n))
-
-
-def old_sample_polytope(w, seed, k):
-    """The polytope sampler with its convex combinations built in Fractions
-    and each member rebuilt from its Fraction rows."""
-    if k < 0:
-        raise ValueError("sample count must be nonnegative")
-    n = w.n
-    rng = random.Random(seed)
-    full_mix = uniform_mixing_matrix(n)
-    chain = minimal_turnover_plan(w).composed_matrix()
-    members = [full_mix, chain]
-    for _ in range(4):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        members.append(chain @ SquareMatrix.from_permutation(perm))
-
-    out = []
-    while len(out) < k:
-        kind = rng.randrange(3)
-        if kind == 0:
-            candidate = members[rng.randrange(len(members))]
-        elif kind == 1:
-            perm = list(range(n))
-            rng.shuffle(perm)
-            candidate = SquareMatrix.from_permutation(perm) @ chain
-        else:
-            chosen = rng.sample(members, min(len(members), 2 + rng.randrange(2)))
-            raw = [F(rng.randint(0, 100)) for _ in chosen]
-            total = sum(raw)
-            if total == 0:
-                continue
-            coeffs = [x / total for x in raw]
-            candidate = SquareMatrix(_fraction_mixture(coeffs, chosen, n))
-        if polytope_membership(candidate, w):
-            out.append(DoublyStochasticMatrix(candidate.rows))
-    return out

@@ -1,4 +1,4 @@
-"""Weight, matrix, and plan file formats."""
+"""Weight, allocation, matrix and plan file formats."""
 
 import json
 import math
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from naivediv.errors import DimensionMismatch, LengthMismatch
+from naivediv.errors import LengthMismatch
 import naivediv.fileio
 from naivediv.fileio import (
     _rational_pair,
@@ -19,7 +19,6 @@ from naivediv.fileio import (
     format_float,
     json_float,
     load_allocation_rows,
-    load_square_matrix,
     load_weights,
     matrix_to_dict,
     parse_rational,
@@ -117,28 +116,22 @@ class TestWeightFiles:
 
 
 class TestMatrixFiles:
+    """A written matrix file has the 'entries' form of an allocation stack,
+    and each row of a doubly stochastic matrix is an allocation, so
+    ``load_allocation_rows`` reads one back and reports its faults."""
+
     def test_round_trip(self, tmp_path):
         m = uniform_mixing_matrix(3)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(matrix_to_dict(m)))
-        assert load_square_matrix(path) == m
-
-    def test_declared_order_mismatch(self, tmp_path):
-        data = matrix_to_dict(uniform_mixing_matrix(2))
-        data["order"] = 3
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError) as excinfo:
-            load_square_matrix(path)
-        assert str(excinfo.value) == (
-            f"{path}: 'order': declared order 3 but entries are 2x2"
-        )
+        assert json.loads(path.read_text())["order"] == 3
+        assert tuple(row.weights for row in load_allocation_rows(path)) == m.rows
 
     def test_bad_entry_names_the_file_and_row(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"entries": [["1/2", "1/2"], ["1/2", "x"]]}))
         with pytest.raises(ValueError) as excinfo:
-            load_square_matrix(path)
+            load_allocation_rows(path)
         assert str(excinfo.value) == (
             f"{path}: row 2 of 'entries': not a rational number: 'x'"
         )
@@ -146,14 +139,8 @@ class TestMatrixFiles:
     def test_missing_entries(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"order": 2}))
-        with pytest.raises(ValueError):
-            load_square_matrix(path)
-
-    def test_non_square(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"entries": [["1/2", "1/2"]]}))
-        with pytest.raises(DimensionMismatch):
-            load_square_matrix(path)
+        with pytest.raises(ValueError, match="'entries' field"):
+            load_allocation_rows(path)
 
     @pytest.mark.parametrize(
         "content",
@@ -163,7 +150,7 @@ class TestMatrixFiles:
         path = tmp_path / "m.json"
         path.write_text(content)
         with pytest.raises(ValueError, match="JSON"):
-            load_square_matrix(path)
+            load_allocation_rows(path)
 
 
 class TestAllocationStacks:

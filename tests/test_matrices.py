@@ -48,7 +48,6 @@ from naivediv.matrices import (
     muirhead_decompose,
     multivariate_feasible,
     random_doubly_stochastic,
-    t_to_matrix,
     uniform_mixing_matrix,
 )
 from naivediv.rebalancing import polytope_membership, rebalance_to
@@ -68,6 +67,19 @@ SWAP2 = SquareMatrix(((F(0), F(1)), (F(1), F(0))))
 
 def full_mix(n):
     return uniform_mixing_matrix(n)
+
+
+def t_matrix(t, n):
+    """The dense matrix of one transform, lam * I + (1 - lam) * (the swap of
+    j and k), entry by entry in Fractions and without ``compose``."""
+    swap = list(range(n))
+    swap[t.j], swap[t.k] = t.k, t.j
+    return SquareMatrix(
+        tuple(
+            tuple(t.lam * (i == c) + (1 - t.lam) * (swap[i] == c) for c in range(n))
+            for i in range(n)
+        )
+    )
 
 
 def dense_product(a, b):
@@ -337,7 +349,7 @@ class TestApply:
         assert apply(w, SquareMatrix.identity(3)).weights == w.weights
 
     def test_single_averaging_matrix(self):
-        m = t_to_matrix(TTransform(0, 2, F(1, 2)), 3)
+        m = t_matrix(TTransform(0, 2, F(1, 2)), 3)
         w = weight_vector(["1/2", "1/3", "1/6"])
         assert apply(w, m).weights == uniform_vector(3).weights
 
@@ -425,16 +437,16 @@ class TestTTransform:
             TTransform(0, 0, F(1, 2))
 
     def test_identity_matrix_at_lambda_one(self):
-        assert t_to_matrix(TTransform(0, 1, F(1)), 2).rows == (
+        assert compose((TTransform(0, 1, F(1)),), 2).rows == (
             (F(1), F(0)),
             (F(0), F(1)),
         )
 
     def test_swap_matrix_at_lambda_zero(self):
-        assert t_to_matrix(TTransform(0, 1, F(0)), 2).rows == SWAP2.rows
+        assert compose((TTransform(0, 1, F(0)),), 2).rows == SWAP2.rows
 
     def test_half_mix_matrix(self):
-        m = t_to_matrix(TTransform(0, 2, F(1, 2)), 3)
+        m = compose((TTransform(0, 2, F(1, 2)),), 3)
         assert m.rows == (
             (F(1, 2), F(0), F(1, 2)),
             (F(0), F(1), F(0)),
@@ -443,7 +455,7 @@ class TestTTransform:
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            t_to_matrix(TTransform(0, 3, F(1, 2)), 3)
+            compose((TTransform(0, 3, F(1, 2)),), 3)
 
     @given(weight_vectors(min_n=2, max_n=6), st.data())
     def test_matrix_and_direct_application_agree(self, w, data):
@@ -451,7 +463,7 @@ class TestTTransform:
         k = data.draw(st.integers(0, w.n - 1).filter(lambda x: x != j))
         lam = F(data.draw(st.integers(0, 12)), 12)
         t = TTransform(j, k, lam)
-        assert apply_transform(w, t).weights == apply(w, t_to_matrix(t, w.n)).weights
+        assert apply_transform(w, t).weights == apply(w, t_matrix(t, w.n)).weights
 
     @given(weight_vectors(min_n=2, max_n=6), st.data())
     def test_integer_step_matches_the_fraction_formula(self, w, data):
@@ -490,11 +502,12 @@ def transform_chains(draw, max_n: int = 6, max_steps: int = 10):
 class TestCompose:
     @given(transform_chains())
     def test_equals_dense_product(self, chain):
-        # oracle: the identity multiplied by each step's full matrix in turn
+        # oracle: the identity multiplied by each step's dense matrix in turn,
+        # both built entry by entry in Fractions
         steps, n = chain
         dense = SquareMatrix.identity(n)
         for t in steps:
-            dense = dense @ t_to_matrix(t, n)
+            dense = SquareMatrix(dense_product(dense, t_matrix(t, n)))
         composed = compose(steps, n)
         assert isinstance(composed, DoublyStochasticMatrix)
         assert composed.rows == dense.rows
@@ -582,8 +595,8 @@ class TestMuirheadDecompose:
             (0, 1, F(1, 2)),
         ]
         # oracle: multiply the two transform matrices and apply exactly
-        product = t_to_matrix(steps[0], 3) @ t_to_matrix(steps[1], 3)
-        assert apply(w, DoublyStochasticMatrix(product.rows)).weights == (
+        product = dense_product(t_matrix(steps[0], 3), t_matrix(steps[1], 3))
+        assert apply(w, DoublyStochasticMatrix(product)).weights == (
             uniform_vector(3).weights
         )
 

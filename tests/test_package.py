@@ -18,20 +18,18 @@ PUBLIC = [
     "DoublyStochasticMatrix", "SquareMatrix", "TTransform", "apply", "apply_transform",
     "averaging_step_count", "compose", "d_stochastic_witness", "hlp_witness",
     "is_d_stochastic", "is_doubly_stochastic", "is_permutation", "muirhead_decompose",
-    "multivariate_feasible", "random_doubly_stochastic", "t_to_matrix",
-    "uniform_mixing_matrix",
+    "multivariate_feasible", "random_doubly_stochastic", "uniform_mixing_matrix",
     # measures
     "AxiomReport", "Direction", "MeasureSpec", "axiom_suite", "evaluate", "exact_value",
     "get_measure", "index_value", "registry", "schur_ostrowski_check",
     "schur_ostrowski_report",
     # preferences
-    "PreferenceOutcome", "aversion_squared", "equal_weights",
-    "inequality_aversion_coefficient", "more_is_better_chain", "naive_prefer",
-    "relative_naive_prefer",
+    "PreferenceOutcome", "aversion_squared", "inequality_aversion_coefficient",
+    "more_is_better_chain", "naive_prefer", "relative_naive_prefer",
     # rebalancing
-    "RebalancePlan", "TurnoverVector", "example_family", "frobenius_distance_squared",
+    "RebalancePlan", "example_family", "frobenius_distance_squared",
     "min_permutation_distance_squared", "minimal_turnover_plan", "polytope_membership",
-    "practical_turnover", "rebalance_to", "sample_polytope", "turnover", "turnover_vector",
+    "practical_turnover", "rebalance_to", "turnover",
     # simplex
     "LorenzCurve", "MajorizationRelation", "WeightVector", "compare",
     "decreasing_rearrangement", "lorenz_curve", "lorenz_dominates", "majorizes",

@@ -18,7 +18,6 @@ from naivediv.matrices import (
 from naivediv.preferences import (
     PreferenceOutcome,
     aversion_squared,
-    equal_weights,
     inequality_aversion_coefficient,
     more_is_better_chain,
     naive_prefer,
@@ -64,9 +63,9 @@ class TestNaivePrefer:
 
 
 def test_equal_weights_values():
-    assert equal_weights(1).weights == (F(1),)
-    assert equal_weights(3).weights == (F(1, 3),) * 3
-    assert equal_weights(4).weights == (F(1, 4),) * 4
+    assert uniform_vector(1).weights == (F(1),)
+    assert uniform_vector(3).weights == (F(1, 3),) * 3
+    assert uniform_vector(4).weights == (F(1, 4),) * 4
 
 
 class TestMoreIsBetterChain:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 
 from conftest import weight_vectors
-from old_chain import old_sample_polytope
 from old_sampler import old_random_weight_vector
 import naivediv.rebalancing
 from naivediv.errors import (
@@ -27,6 +26,7 @@ from naivediv.matrices import (
     apply,
     apply_transform,
     compose,
+    muirhead_decompose,
     random_doubly_stochastic,
     uniform_mixing_matrix,
 )
@@ -40,9 +40,7 @@ from naivediv.rebalancing import (
     polytope_membership,
     practical_turnover,
     rebalance_to,
-    sample_polytope,
     turnover,
-    turnover_vector,
 )
 from naivediv.simplex import (
     WeightVector,
@@ -53,6 +51,27 @@ from naivediv.simplex import (
 
 REFERENCE = weight_vector(["1/2", "1/3", "1/6"])
 SKEWED = weight_vector(["7/10", "1/5", "1/10"])
+
+
+def polytope_members(w, rng, k):
+    """Members of the polytope that rebalances ``w`` to equal weights, each
+    one by construction, with no rejection: the Muirhead chain product, that
+    product times four random permutations (equal weights relabeled stay
+    equal), full mixing, and ``k`` integer-weight mixtures of those six."""
+    n = w.n
+    chain = compose(muirhead_decompose(w, uniform_vector(n)), n)
+    members = [chain, uniform_mixing_matrix(n)]
+    for _ in range(4):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        members.append(chain @ SquareMatrix.from_permutation(perm))
+    for _ in range(k):
+        chosen = rng.sample(members[:6], rng.randint(2, 3))
+        weights = [rng.randint(1, 100) for _ in chosen]
+        members.append(DoublyStochasticMatrix._mixture(weights, chosen))
+    for p in members:
+        assert polytope_membership(p, w)
+    return members
 
 
 class TestTurnover:
@@ -69,14 +88,9 @@ class TestTurnover:
         assert turnover(weight_vector(["1", "0"])) == F(1, 2)
 
     def test_trade_vector(self):
-        v = turnover_vector(REFERENCE)
-        assert v.deltas == (F(1, 6), F(0), F(-1, 6))
-
-    def test_trade_vector_must_sum_to_zero(self):
-        from naivediv.rebalancing import TurnoverVector
-
-        with pytest.raises(ValueError):
-            TurnoverVector((F(1, 2), F(1, 2)))
+        # trades are target - source: the slot gaps w - 1/n with signs flipped
+        trades = minimal_turnover_plan(REFERENCE).trades
+        assert trades == (("w1", F(-1, 6)), ("w2", F(0)), ("w3", F(1, 6)))
 
     @given(weight_vectors(min_n=2, max_n=6))
     def test_equals_hoover_distance(self, w):
@@ -249,7 +263,7 @@ class TestPracticalTurnover:
         for _ in range(40):
             n = rng.randint(2, 5)
             w = random_weight_vector(rng, n)
-            for p in sample_polytope(w, rng.randrange(10**6), 3):
+            for p in polytope_members(w, rng, 3):
                 assert practical_turnover(w, p) >= float(turnover(w)) - 1e-12
 
     def test_lower_bound_on_example_grid(self):
@@ -266,20 +280,6 @@ class TestPracticalTurnover:
         w = weight_vector(["3/4", "1/4"])
         plan = minimal_turnover_plan(w)
         assert plan.practical_turnover == float(turnover(w))
-
-
-class TestSamplePolytope:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_equals_the_fraction_mixtures(self, seed):
-        rng = random.Random(seed)
-        n = 2 + seed % 5
-        sampler = random_weight_vector if seed % 2 else old_random_weight_vector
-        source = sampler(rng, n)
-        new = sample_polytope(source, seed, 6)
-        old = old_sample_polytope(source, seed, 6)
-        assert [type(p) for p in new] == [DoublyStochasticMatrix] * 6
-        assert [p._scaled for p in new] == [p._scaled for p in old]
-        assert [p.rows for p in new] == [p.rows for p in old]
 
 
 class TestRebalancePlans:
@@ -410,8 +410,8 @@ class TestRebalancePlans:
         # w(I - P) recovers the trade vector whenever P maps w to uniform
         rng = random.Random(99)
         w = random_weight_vector(rng, 4)
-        expected = turnover_vector(w).deltas
-        for p in sample_polytope(w, 99, 4):
+        expected = tuple(-delta for _, delta in minimal_turnover_plan(w).trades)
+        for p in polytope_members(w, rng, 4):
             moved = tuple(
                 w.weights[i]
                 - sum(w.weights[j] * p.rows[j][i] for j in range(4))
