@@ -7,6 +7,9 @@ verdict (including negative ones), 1 for input or usage problems, 2 when
 a requested rebalance is mathematically impossible because the source
 does not majorize the target.
 
+Each subcommand's handler takes the parsed options and returns its answer
+as text; ``main`` writes that text once, to stdout or to ``--out``.
+
 Every process loads this module, ``fileio``, ``simplex`` and ``errors``;
 each handler imports the rest of what it runs, so a subcommand loads only
 its own modules:
@@ -37,7 +40,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from heapq import merge
 from itertools import groupby
 from operator import itemgetter
@@ -55,14 +57,8 @@ from .simplex import (
 )
 
 
-@dataclass
-class CliConfig:
-    """Global rendering and sampling options shared by every subcommand."""
-
-    format: str = "table"
-    precision: int = 12
-    seed: int = 42
-    out: str | None = None
+#: The global options' values when they are not given.
+_DEFAULTS = {"format": "table", "precision": 12, "seed": 42, "out": None}
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -139,7 +135,8 @@ def _build_parser() -> _CliParser:
     # Global options stay SUPPRESS-defaulted so they can be given before or
     # after the subcommand; calling set_defaults here would overwrite the
     # shared parent actions' defaults and make the subparser pass clobber
-    # values already parsed.  main() fills in the gaps instead.
+    # values already parsed.  main() parses into a namespace that holds
+    # _DEFAULTS instead, and an option overwrites its default only when given.
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CliParser)
 
     p = sub.add_parser(
@@ -246,10 +243,6 @@ def _build_parser() -> _CliParser:
 # --------------------------------------------------------------------------
 # Rendering helpers.
 # --------------------------------------------------------------------------
-
-
-def _emit(text: str, config: CliConfig) -> None:
-    fileio.write_text(text, config.out)
 
 
 #: A str as a JSON string literal, in C: the encoder ``json.dumps`` uses
@@ -366,19 +359,23 @@ def _row_template(keys: tuple[str, ...], newline: str) -> str:
     return "{" + inner + ("," + inner).join(fields) + newline + "}"
 
 
-def _render_pairs(pairs: list[tuple[str, str]], config: CliConfig) -> str:
-    if config.format == "json":
+def _render_pairs(
+    pairs: list[tuple[str, str]], fmt: str, key_header: str = "key"
+) -> str:
+    """Key/value pairs as a JSON object, a csv table under the header
+    ``key_header,value``, or aligned columns."""
+    if fmt == "json":
         return _render_json(dict(pairs))
-    if config.format == "csv":
-        lines = ["key,value"]
+    if fmt == "csv":
+        lines = [f"{key_header},value"]
         lines += [f"{k},{v}" for k, v in pairs]
         return "\n".join(lines)
     width = max(len(k) for k, _ in pairs)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in pairs)
 
 
-def _fmt(value: float, config: CliConfig) -> str:
-    return fileio.format_float(value, config.precision)
+def _fmt(value: float, args: argparse.Namespace) -> str:
+    return fileio.format_float(value, args.precision)
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +383,7 @@ def _fmt(value: float, config: CliConfig) -> str:
 # --------------------------------------------------------------------------
 
 
-def _cmd_compare(args, config: CliConfig) -> int:
+def _cmd_compare(args: argparse.Namespace) -> str:
     first = fileio.load_weights(args.first)
     second = fileio.load_weights(args.second)
     if args.lorenz:
@@ -401,38 +398,24 @@ def _cmd_compare(args, config: CliConfig) -> int:
             ("relation", relation.value),
             ("preference", _FROM_RELATION[relation].value),
         ]
-    _emit(_render_pairs(pairs, config), config)
-    return 0
+    return _render_pairs(pairs, args.format)
 
 
-def _cmd_measures(args, config: CliConfig) -> int:
+def _cmd_measures(args: argparse.Namespace) -> str:
     from .measures import evaluate, get_measure, registry
 
     w = fileio.load_weights(args.weights)
     ids = args.measures if args.measures else [m.id for m in registry()]
     values = [(mid, evaluate(get_measure(mid), w)) for mid in ids]
-    if config.format == "json":
-        _emit(
-            _render_json(
-                {mid: fileio.json_float(v, config.precision) for mid, v in values}
-            ),
-            config,
+    if args.format == "json":
+        return _render_json(
+            {mid: fileio.json_float(v, args.precision) for mid, v in values}
         )
-        return 0
-    if config.format == "csv":
-        lines = ["measure,value"]
-        lines += [f"{mid},{_fmt(v, config)}" for mid, v in values]
-        _emit("\n".join(lines), config)
-        return 0
-    width = max(len(mid) for mid, _ in values)
-    _emit(
-        "\n".join(f"{mid:<{width}}  {_fmt(v, config)}" for mid, v in values),
-        config,
-    )
-    return 0
+    pairs = [(mid, _fmt(v, args)) for mid, v in values]
+    return _render_pairs(pairs, args.format, "measure")
 
 
-def _cmd_rebalance(args, config: CliConfig) -> int:
+def _cmd_rebalance(args: argparse.Namespace) -> str:
     from .rebalancing import rebalance_to
 
     source = fileio.load_weights(args.weights)
@@ -441,11 +424,10 @@ def _cmd_rebalance(args, config: CliConfig) -> int:
     else:
         target = fileio.load_weights(args.target)
     plan = rebalance_to(source, target, args.cost_rate)
-    _emit(_render_json(fileio.plan_to_dict(plan, config.precision)), config)
-    return 0
+    return _render_json(fileio.plan_to_dict(plan, args.precision))
 
 
-def _cmd_lorenz(args, config: CliConfig) -> int:
+def _cmd_lorenz(args: argparse.Namespace) -> str:
     w = fileio.load_weights(args.weights)
     n, _, scale, ys = _lorenz_ints(w)
     # Abscissas count 1/L with L = lcm(n, N): breakpoint k sits at k * L / n
@@ -461,70 +443,55 @@ def _cmd_lorenz(args, config: CliConfig) -> int:
         k, r = divmod(x * n, span)
         values.append(ys[k] * span + (ys[k + 1] - ys[k]) * r if r else ys[k] * span)
     columns = (ticks, span), (values, scale * span)
-    if config.format == "json":
+    if args.format == "json":
         points = _Rows(("t", "value"), tuple(_rational_strings(*c) for c in columns))
-        _emit(_render_json({"points": points}), config)
-        return 0
-    ts, vs = ([_fmt(x / s, config) for x in xs] for xs, s in columns)
-    sep = "," if config.format == "csv" else "  "
-    lines = ["t,L(t)"] if config.format == "csv" else []
-    _emit("\n".join(lines + [f"{t}{sep}{v}" for t, v in zip(ts, vs)]), config)
-    return 0
+        return _render_json({"points": points})
+    ts, vs = ([_fmt(x / s, args) for x in xs] for xs, s in columns)
+    sep = "," if args.format == "csv" else "  "
+    lines = ["t,L(t)"] if args.format == "csv" else []
+    return "\n".join(lines + [f"{t}{sep}{v}" for t, v in zip(ts, vs)])
 
 
-def _cmd_axioms(args, config: CliConfig) -> int:
+def _cmd_axioms(args: argparse.Namespace) -> str:
     from .measures import axiom_suite, get_measure
 
     measure = get_measure(args.measure)
-    report = axiom_suite(measure, seed=config.seed, samples=args.samples, n=args.n)
-    _emit(_render_json(report.to_json_dict()), config)
-    return 0
+    report = axiom_suite(measure, seed=args.seed, samples=args.samples, n=args.n)
+    return _render_json(report.to_json_dict())
 
 
-def _cmd_aversion(args, config: CliConfig) -> int:
+def _cmd_aversion(args: argparse.Namespace) -> str:
     from .preferences import aversion_squared, inequality_aversion_coefficient
 
     d = fileio.load_weights(args.weights)
     squared = aversion_squared(d)
     coefficient = inequality_aversion_coefficient(d)
-    _emit(
-        _render_pairs(
-            [
-                ("aversion_squared", _fraction_text(squared)),
-                ("aversion", _fmt(coefficient, config)),
-            ],
-            config,
-        ),
-        config,
-    )
-    return 0
+    pairs = [
+        ("aversion_squared", _fraction_text(squared)),
+        ("aversion", _fmt(coefficient, args)),
+    ]
+    return _render_pairs(pairs, args.format)
 
 
-def _cmd_schur_check(args, config: CliConfig) -> int:
+def _cmd_schur_check(args: argparse.Namespace) -> str:
     from .measures import ambient_utility, get_measure, schur_ostrowski_report
 
     measure = get_measure(args.measure)
     point = fileio.load_weights(args.weights)
     report = schur_ostrowski_report(
-        ambient_utility(measure), point, step=args.step, seed=config.seed
+        ambient_utility(measure), point, step=args.step, seed=args.seed
     )
-    _emit(
-        _render_pairs(
-            [
-                ("measure", measure.id),
-                ("symmetric", str(report.symmetric).lower()),
-                ("sign_condition", str(report.sign_condition).lower()),
-                ("passed", str(report.passed).lower()),
-                ("max_sign_product", _fmt(report.max_sign_product, config)),
-            ],
-            config,
-        ),
-        config,
-    )
-    return 0
+    pairs = [
+        ("measure", measure.id),
+        ("symmetric", str(report.symmetric).lower()),
+        ("sign_condition", str(report.sign_condition).lower()),
+        ("passed", str(report.passed).lower()),
+        ("max_sign_product", _fmt(report.max_sign_product, args)),
+    ]
+    return _render_pairs(pairs, args.format)
 
 
-def _cmd_multi_check(args, config: CliConfig) -> int:
+def _cmd_multi_check(args: argparse.Namespace) -> str:
     from .matrices import multivariate_feasible
 
     target_rows = fileio.load_allocation_rows(args.target_rows)
@@ -536,40 +503,31 @@ def _cmd_multi_check(args, config: CliConfig) -> int:
         raise DimensionMismatch(
             f"{args.target_rows} vs {args.source_rows}: {exc}"
         ) from None
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "feasible": witness is not None,
             "witness": fileio.matrix_to_dict(witness) if witness is not None else None,
         }
-        _emit(_render_json(payload), config)
-        return 0
+        return _render_json(payload)
     pairs = [("feasible", str(witness is not None).lower())]
     if witness is not None:
         pairs.append(
             ("witness", json.dumps(fileio.matrix_to_dict(witness)["entries"]))
         )
-    _emit(_render_pairs(pairs, config), config)
-    return 0
+    return _render_pairs(pairs, args.format)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    defaults = CliConfig()
-    config = CliConfig(
-        format=getattr(args, "format", defaults.format),
-        precision=getattr(args, "precision", defaults.precision),
-        seed=getattr(args, "seed", defaults.seed),
-        out=getattr(args, "out", defaults.out),
-    )
+    args = _build_parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
     try:
-        return args.func(args, config)
+        fileio.write_text(args.func(args), args.out)
     except NotMajorized as exc:
         print(f"naivediv: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"naivediv: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

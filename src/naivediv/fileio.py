@@ -233,14 +233,24 @@ def _read_text(path: Path) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
+#: Reads a JSON number with a fraction or an exponent as the text the file
+#: holds, so that ``_rational_pair`` reads its exact value and not a double.
+_JSON_DECODER = json.JSONDecoder(parse_float=str)
+
+
 def _read_json(path: Path) -> object:
     """The JSON value in the file at ``path``, read as UTF-8 JSON text (RFC
-    8259); malformed text, a byte-order mark included, is reported with the
+    8259); malformed text, a byte-order mark, nesting too deep to decode and
+    an integer past ``int``'s digit limit included, is reported with the
     path."""
     text = _read_text(path)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        return _JSON_DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

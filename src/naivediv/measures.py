@@ -35,6 +35,7 @@ from .errors import DomainError, UnknownMeasure
 from .simplex import (
     WeightVector,
     _clearly_nonuniform,
+    _fraction_text,
     _hoover_exact,
     _Ints,
     _majorization_pair_ints,
@@ -236,7 +237,7 @@ def get_measure(measure_id: str) -> MeasureSpec:
             raise UnknownMeasure(
                 "atkinson parameter must be positive and different from 1"
             )
-        wanted = f"atkinson({eps})"
+        wanted = f"atkinson({_fraction_text(eps)})"
     for spec in _STANDARD:
         if spec.id == wanted:
             return spec

@@ -26,6 +26,8 @@ import decimal
 import functools
 import math
 import random
+import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -44,6 +46,10 @@ _Curve = tuple[int, Sequence[int], int, Sequence[int]]
 #: A vector as its integer view ``(scale, nums)``, its entries nums / scale.
 _Ints = tuple[int, Sequence[int]]
 
+#: The exponent of a decimal literal, e.g. the ``-3`` of ``2.5e-3``,
+#: written as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 #: The sampler draws counts over D = _SAMPLER_LATTICE * n.
 _SAMPLER_LATTICE = 10**6
 
@@ -52,14 +58,24 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Parse an exact rational from 'p/q' or decimal strings, ints or Fractions.
 
     Floats are rejected on purpose: binary floats smuggle rounding noise into
-    what must stay an exact computation.
+    what must stay an exact computation.  A decimal exponent may be no larger
+    in magnitude than the limit CPython puts on the digits of an int read
+    from text (``sys.get_int_max_str_digits()``, 4,300 by default; at 0
+    neither bound applies): ``Fraction`` would compute 10**exponent first.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        limit = sys.get_int_max_str_digits()
+        exponent = _EXPONENT.search(text) if limit else None
+        if exponent is not None and abs(int(exponent.group(1))) > limit:
+            raise ValueError(
+                f"exponent past the {limit}-digit limit on integers: {value!r}"
+            )
+        return Fraction(text)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -118,7 +134,8 @@ class WeightVector:
         total = sum(nums)
         if total != scale:
             raise ValueError(
-                f"weights must sum to exactly 1, got {Fraction(total, scale)}"
+                "weights must sum to exactly 1, got "
+                + _fraction_text(Fraction(total, scale))
             )
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_nums", nums)

@@ -1,5 +1,7 @@
-"""Shared strategies and hypothesis configuration."""
+"""Shared strategies, helpers and hypothesis configuration."""
 
+import contextlib
+import sys
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
@@ -72,3 +74,15 @@ def huge_denominator_stack(seed: int):
         [WeightVector(x) for x in targets],
         [WeightVector(y) for y in sources],
     )
+
+
+@contextlib.contextmanager
+def no_int_text_limit():
+    """CPython's limit on the digits of int-text conversions lifted, for
+    an oracle that reads or writes longer integers."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,11 +1,11 @@
 """End-to-end command-line behavior, run in-process for speed."""
 
-import contextlib
 import json
 import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import huge_denominator_stack
+from conftest import huge_denominator_stack, no_int_text_limit
 from naivediv.cli import _render_json, _Rows, main
 from naivediv.fileio import plan_from_dict
 from naivediv.simplex import (
@@ -489,18 +489,6 @@ class TestMultiCheck:
         )
 
 
-@contextlib.contextmanager
-def no_int_text_limit():
-    """CPython's limit on the digits of int-text conversions lifted, for
-    an oracle that reads or writes longer integers."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 class TestHugeDenominators:
     """A file whose entries share a 4,300-digit denominator, the longest
     integer CPython reads from text by default, loads; so every subcommand
@@ -825,8 +813,10 @@ class TestMalformedFiles:
             (b'{"weights": ["1/2", "1/2"], "labels": ["\xff", "b"]}', "can't decode byte 0xff"),
             # RFC 8259 JSON text carries no byte-order mark
             (b'\xef\xbb\xbf{"weights": ["1/2", "1/2"]}', "Unexpected UTF-8 BOM"),
+            # too deep for the decoder's recursion
+            (b'{"weights": [' + b"[" * 100_000 + b"]" * 100_000 + b"]}", "recursion depth"),
         ],
-        ids=["truncated", "invalid-utf8", "bom"],
+        ids=["truncated", "invalid-utf8", "bom", "deep"],
     )
     @pytest.mark.parametrize("command", ["compare", "multi-check", "rebalance"])
     def test_unreadable_text_names_its_file(self, tmp_path, command, raw, message, capsys):
@@ -846,6 +836,50 @@ class TestMalformedFiles:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err.startswith(f"naivediv: {bad}: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_json_numbers_are_read_as_written(self, tmp_path, capsys):
+        # as a double, 0.30000000000000001 is 0.3, and the sum would be 1
+        bad = tmp_path / "w.json"
+        bad.write_text('{"weights": [0.30000000000000001, 0.7]}')
+        code, out, err = run_cli(["compare", str(bad), str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"naivediv: {bad}: 'weights': weights must sum to exactly 1, "
+            "got 100000000000000001/100000000000000000\n"
+        )
+
+    @pytest.mark.parametrize("literal", ["1e9999999", "1e-9999999", "1e99999999"])
+    def test_huge_exponent_is_refused_at_once(self, tmp_path, literal, capsys):
+        bad = tmp_path / "w.json"
+        bad.write_text(json.dumps({"weights": [literal, "1"]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["compare", str(bad), str(bad)], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == f"naivediv: {bad}: 'weights': not a rational number: {literal!r}\n"
+
+    def test_huge_exponent_in_a_measure_id_is_refused_at_once(self, reference_file, capsys):
+        argv = ["measures", reference_file, "--measure", "atkinson(1e9999999)"]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "naivediv: unparseable atkinson parameter: '1e9999999'\n"
+
+    def test_sum_past_the_digit_limit_is_written_in_full(self, tmp_path, capsys):
+        # coprime 3,001-digit p and q: the sum (p + q) / pq has a 6,001-digit
+        # denominator, past the limit on str(int)
+        p, q = 10**3000 + 1, 10**3000 + 3
+        bad = tmp_path / "w.json"
+        bad.write_text(json.dumps({"weights": [f"1/{p}", f"1/{q}"]}))
+        code, out, err = run_cli(["compare", str(bad), str(bad)], capsys)
+        with no_int_text_limit():
+            total = f"{p + q}/{p * q}"
+        assert (code, out) == (1, "")
+        assert err == (
+            f"naivediv: {bad}: 'weights': weights must sum to exactly 1, got {total}\n"
+        )
 
     def test_csv_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -895,6 +929,35 @@ class TestUsageAndDeterminism:
         )
         assert code == 0
         assert out.startswith("measure,value")
+
+    @pytest.mark.parametrize(
+        "option, value, command",
+        [
+            ("--format", "csv", ["aversion", "W"]),
+            ("--precision", "3", ["aversion", "W"]),
+            ("--seed", "7", ["axioms", "--measure", "hhi", "--samples", "20"]),
+            ("--out", "OUT", ["aversion", "W"]),
+        ],
+        ids=["format", "precision", "seed", "out"],
+    )
+    def test_option_gives_the_same_bytes_before_and_after_the_subcommand(
+        self, reference_file, tmp_path, option, value, command, capsys
+    ):
+        command = [reference_file if a == "W" else a for a in command]
+        out_file = tmp_path / "out.txt"
+        value = str(out_file) if value == "OUT" else value
+
+        def answer(argv):
+            code, out, err = run_cli(argv, capsys)
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            return code, out, err, written
+
+        before = answer([option, value, *command])
+        after = answer([*command, option, value])
+        assert before == after
+        assert before[0] == 0 and before[2] == ""
+        assert before != answer(command)  # the option took effect
 
     def test_byte_identical_reruns(self, reference_file, capsys):
         argv = ["axioms", "--measure", "gini_mean_diff", "--samples", "80"]

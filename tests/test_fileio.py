@@ -4,6 +4,8 @@ import json
 import math
 import random
 import re
+import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -48,6 +50,7 @@ from naivediv.simplex import (
     uniform_vector,
     weight_vector,
 )
+from conftest import no_int_text_limit
 from old_sampler import old_random_weight_vector
 
 REFERENCE = weight_vector(["1/2", "1/3", "1/6"])
@@ -67,6 +70,27 @@ class TestRationalParsing:
             parse_rational("abc")
         with pytest.raises(ValueError):
             parse_rational("1/0")
+
+    def test_exponent_up_to_the_digit_limit_is_read(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit}") == 10**limit
+        assert parse_rational(f"1e-{limit}") == F(1, 10**limit)
+
+    @pytest.mark.parametrize(
+        "text", ["1e{over}", "1e-{over}", "2.5E+99999999", "1e9_999_999", "1e" + "9" * 5000]
+    )
+    def test_exponent_past_the_digit_limit_is_refused_at_once(self, text):
+        # Fraction would compute 10**exponent first: minutes for 1e99999999
+        text = text.format(over=sys.get_int_max_str_digits() + 1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        assert time.perf_counter() - start < 1
+
+    def test_exponent_is_unbounded_when_the_limit_is_lifted(self):
+        over = sys.get_int_max_str_digits() + 1
+        with no_int_text_limit():
+            assert parse_rational(f"1e{over}") == 10**over
 
     def test_float_formatting(self):
         assert format_float(1 / 3, 12) == "0.333333333333"
@@ -90,6 +114,25 @@ class TestWeightFiles:
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"weights": ["1/2", "1/3", "1/6"]}))
         assert load_weights(path) == REFERENCE
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ("[0.5, 0.5]", (F(1, 2), F(1, 2))),
+            ("[1, 0]", (F(1), F(0))),
+            ("[5e-1, 0.5]", (F(1, 2), F(1, 2))),
+            ("[0.1, 0.9]", (F(1, 10), F(9, 10))),  # not the doubles
+        ],
+    )
+    def test_json_numbers_are_read_as_written(self, tmp_path, weights, expected):
+        path = tmp_path / "w.json"
+        path.write_text('{"weights": %s}' % weights)
+        assert load_weights(path).weights == expected
+
+    def test_a_label_written_as_a_json_number_keeps_its_text(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"labels": [1e2, 7], "weights": ["1/2", "1/2"]}')
+        assert load_weights(path).labels == ("1e2", "7")
 
     def test_load_csv(self, tmp_path):
         path = tmp_path / "w.csv"

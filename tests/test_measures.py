@@ -4,6 +4,7 @@ import fractions
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -206,6 +207,11 @@ class TestRegistry:
         assert get_measure("atkinson(2)").id == "atkinson(2)"
         # off-registry parameters still work, on the fly
         assert get_measure("atkinson(3/2)").id == "atkinson(3/2)"
+
+    def test_atkinson_id_past_the_digit_limit(self):
+        # the canonical id's denominator has one digit more than str(int) writes
+        limit = sys.get_int_max_str_digits()
+        assert get_measure(f"atkinson(1e-{limit})").id == f"atkinson(1/1{'0' * limit})"
 
     def test_atkinson_rejects_bad_parameters(self):
         for bad in ("atkinson(0)", "atkinson(1)", "atkinson(-2)", "atkinson(x)"):

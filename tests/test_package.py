@@ -146,6 +146,12 @@ def test_measures_imports_nothing_from_matrices():
     assert not any("matrices" in name.split(".") for name in imported)
 
 
+def _callee(call):
+    """The name a call calls: ``f`` of ``f(x)`` and of ``m.f(x)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 #: The json functions that can write indented text.
 JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
 
@@ -159,8 +165,7 @@ def _indented_json_writers(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            name = _callee(node)
             if name in JSON_WRITERS and any(k.arg in ("indent", None) for k in node.keywords):
                 found.append(where)
         for child in ast.iter_child_nodes(node):
@@ -186,3 +191,35 @@ def test_only_the_cli_writer_writes_indented_json():
         for where in _indented_json_writers(ast.parse(path.read_text()))
     }
     assert writers <= {("cli.py", "_render_json")}
+
+
+#: The calls that write text out.
+OUTPUT_WRITERS = {"print", "write_text", "_emit"}
+
+
+def _output_calls(tree):
+    """(function, callee) for each call of an output writer in a top-level
+    function of ``tree``."""
+    return [
+        (function.name, _callee(node))
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and _callee(node) in OUTPUT_WRITERS
+    ]
+
+
+def test_only_main_writes_an_answer():
+    # each subcommand returns its answer as text and main writes it once;
+    # main prints only error messages
+    tree = ast.parse((SOURCES / "cli.py").read_text())
+    handlers = [
+        f.name for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")
+    ]
+    assert len(handlers) == 8
+    calls = _output_calls(tree)
+    assert not [call for call in calls if call[0] in handlers]
+    assert [call for call in calls if call[1] == "write_text"] == [("main", "write_text")]
+    source = "def _cmd_x(args):\n    print(args)\ndef main():\n    fileio.write_text(1, 2)\n"
+    assert _output_calls(ast.parse(source)) == [("_cmd_x", "print"), ("main", "write_text")]
